@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use chisel_core::{ChiselConfig, ChiselLpm, RouteUpdate, SharedChisel};
+use chisel_core::{ChiselConfig, ChiselLpm, SharedChisel};
 use chisel_prefix::Key;
 use chisel_workloads::{
     flow_pool, generate_trace, resetup_storm_profile, rrc_profiles, synthesize,
@@ -45,13 +45,6 @@ fn trace_len() -> usize {
 
 const WINDOWS: [usize; 4] = [1, 16, 64, 256];
 const READER_BATCH: usize = 64;
-
-fn to_route(ev: &UpdateEvent) -> RouteUpdate {
-    match *ev {
-        UpdateEvent::Announce(p, nh) => RouteUpdate::Announce(p, nh),
-        UpdateEvent::Withdraw(p) => RouteUpdate::Withdraw(p),
-    }
-}
 
 struct RunResult {
     updates_per_sec: f64,
@@ -100,8 +93,7 @@ fn replay(shared: &SharedChisel, trace: &[UpdateEvent], window: usize, keys: &[K
             }
         } else {
             for chunk in trace.chunks(window) {
-                let events: Vec<RouteUpdate> = chunk.iter().map(to_route).collect();
-                match shared.apply_batch(&events) {
+                match shared.apply_batch(chunk) {
                     Ok(report) => rejected += report.rejected_events.len(),
                     Err(_) => rejected += chunk.len(),
                 }

@@ -5,8 +5,8 @@
 //! generalization of the per-prefix dirty-bit flap absorption in
 //! [`crate::RecentWithdrawals`].
 //!
-//! The planner is pure bookkeeping: [`UpdateBatch`] ingests events,
-//! [`BatchPlan`] is the coalesced residue, and the engine
+//! The planner is pure bookkeeping: [`BatchPlan`] is the coalesced
+//! residue of a window, and the engine
 //! ([`crate::ChiselLpm::apply_batch`]) applies the residue incrementally,
 //! deferring every re-setup-requiring insert so all partition rebuilds of
 //! the window run in parallel and the whole window publishes as one
@@ -15,31 +15,10 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use chisel_prefix::{NextHop, Prefix};
+use chisel_prefix::Prefix;
+pub use chisel_prefix::RouteUpdate;
 
 use crate::update::UpdateStats;
-
-/// One route update, engine-level: the same shape as the workload
-/// generator's `UpdateEvent`, duplicated here so `chisel-core` does not
-/// depend on `chisel-workloads` (callers convert trivially).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteUpdate {
-    /// BGP announce: insert the prefix or update its next hop.
-    Announce(Prefix, NextHop),
-    /// BGP withdraw: remove the prefix if present (no-op otherwise).
-    Withdraw(Prefix),
-}
-
-impl RouteUpdate {
-    /// The prefix this update targets.
-    #[inline]
-    pub fn prefix(&self) -> Prefix {
-        match *self {
-            RouteUpdate::Announce(p, _) => p,
-            RouteUpdate::Withdraw(p) => p,
-        }
-    }
-}
 
 /// One residual operation of a coalesced window: the last-writer update
 /// for its prefix, plus the positions (into the ingested window) of every
@@ -115,66 +94,6 @@ impl BatchPlan {
     }
 }
 
-/// A window of route updates accumulating toward one batched apply — the
-/// planner front end. Feed it events as they arrive, then hand
-/// [`UpdateBatch::events`] to [`crate::SharedChisel::apply_batch`] (or
-/// call [`UpdateBatch::plan`] to inspect the coalesced residue first).
-#[derive(Debug, Clone, Default)]
-pub struct UpdateBatch {
-    events: Vec<RouteUpdate>,
-}
-
-impl UpdateBatch {
-    /// An empty window.
-    pub fn new() -> Self {
-        UpdateBatch::default()
-    }
-
-    /// Appends one event to the window.
-    pub fn push(&mut self, event: RouteUpdate) {
-        self.events.push(event);
-    }
-
-    /// Number of raw events in the window.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The raw events, in arrival order.
-    pub fn events(&self) -> &[RouteUpdate] {
-        &self.events
-    }
-
-    /// Drains the window, returning the raw events.
-    pub fn take(&mut self) -> Vec<RouteUpdate> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Coalesces the window into its per-prefix net effect.
-    pub fn plan(&self) -> BatchPlan {
-        BatchPlan::of(&self.events)
-    }
-}
-
-impl Extend<RouteUpdate> for UpdateBatch {
-    fn extend<T: IntoIterator<Item = RouteUpdate>>(&mut self, iter: T) {
-        self.events.extend(iter);
-    }
-}
-
-impl FromIterator<RouteUpdate> for UpdateBatch {
-    fn from_iter<T: IntoIterator<Item = RouteUpdate>>(iter: T) -> Self {
-        UpdateBatch {
-            events: Vec::from_iter(iter),
-        }
-    }
-}
-
 /// What one [`crate::ChiselLpm::apply_batch`] call did: the per-window
 /// counterpart of the cumulative [`crate::BatchStats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -215,6 +134,7 @@ impl BatchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chisel_prefix::NextHop;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -303,18 +223,5 @@ mod tests {
         assert_eq!(plan.len(), 2);
         assert_eq!(plan.ops[0].op.prefix(), p("10.0.0.0/8"));
         assert_eq!(plan.ops[1].op.prefix(), p("11.0.0.0/8"));
-    }
-
-    #[test]
-    fn update_batch_accumulates_and_drains() {
-        let mut batch = UpdateBatch::new();
-        assert!(batch.is_empty());
-        batch.push(RouteUpdate::Announce(p("10.0.0.0/8"), nh(1)));
-        batch.extend([RouteUpdate::Withdraw(p("10.0.0.0/8"))]);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch.plan().len(), 1);
-        let events = batch.take();
-        assert_eq!(events.len(), 2);
-        assert!(batch.is_empty());
     }
 }

@@ -54,10 +54,11 @@ pub struct ChiselLpm {
     batch: BatchStats,
     recent: RecentWithdrawals,
     len: usize,
-    /// Monotonic update counter, bumped at the top of every announce and
-    /// withdraw (before any table is touched). A flow cache stamps its
-    /// entries with this and treats any mismatch as a miss, so cached
-    /// results can never survive an update — see [`crate::FlowCache`].
+    /// Monotonic update counter, bumped once per update window (a valid
+    /// announce or withdraw is a window of one) before any table is
+    /// touched. A flow cache stamps its entries with this and treats any
+    /// mismatch as a miss, so cached results can never survive an update
+    /// — see [`crate::FlowCache`].
     version: u64,
 }
 
@@ -344,128 +345,62 @@ impl ChiselLpm {
     /// Applies a BGP `announce(p, len, h)`: inserts the prefix or updates
     /// its next hop, classifying how the update was absorbed (Figure 14).
     ///
+    /// The update runs through the batch engine as a window of one (see
+    /// [`ChiselLpm::apply_batch`]): a new collapsed key that finds no
+    /// singleton re-sets up its own partition only (Section 4.4.2), and is
+    /// parked in the spillover TCAM when no encoding fits.
+    ///
     /// # Errors
     ///
-    /// Fails on family mismatch or when the spillover TCAM overflows
-    /// during a forced re-setup.
+    /// Fails on family mismatch or an unsupported prefix length, and with
+    /// [`ChiselError::SpilloverOverflow`] when the new key could be
+    /// neither encoded nor parked (the announce is then rolled back).
     pub fn announce(
         &mut self,
         prefix: Prefix,
         next_hop: NextHop,
     ) -> Result<UpdateKind, ChiselError> {
-        if prefix.family() != self.config.family {
-            return Err(ChiselError::FamilyMismatch);
-        }
-        // Conservative cache invalidation: any update that may change any
-        // lookup result gets a fresh version, even if it turns out a no-op.
-        self.version += 1;
-        if prefix.is_empty() {
-            // `len` tracks state (was the slot empty?), not the flap
-            // classification: a withdraw/re-announce flap of the default
-            // route removed a route and now restores it.
-            let restored = self.default_route.is_none();
-            let kind = if self.recent.take(&prefix) {
-                UpdateKind::RouteFlap
-            } else if restored {
-                UpdateKind::AddCollapsed
-            } else {
-                UpdateKind::NextHopChange
-            };
-            if restored {
-                self.len += 1;
-            }
-            self.default_route = Some(next_hop);
-            self.stats.record(kind);
-            return Ok(kind);
-        }
-        let ci = self
-            .plan
-            .cell_for(prefix.len())
-            .ok_or(ChiselError::UnsupportedLength { len: prefix.len() })?;
-        let base = self.plan.cells()[ci].base;
-        let collapsed = prefix.truncate(base).bits();
-        let depth = prefix.len() - base;
-        let suffix = prefix.suffix_below(base);
-        let flap = self.recent.take(&prefix);
-        // Copy-on-write: only the touched sub-cell is deep-copied when
-        // this engine shares cells with published snapshots.
-        let outcome =
-            Arc::make_mut(&mut self.cells[ci]).announce(collapsed, depth, suffix, next_hop)?;
-        let kind = match outcome {
-            AnnounceOutcome::DirtyRestore => UpdateKind::RouteFlap,
-            AnnounceOutcome::NextHopOnly => {
-                if flap {
-                    UpdateKind::RouteFlap
-                } else {
-                    UpdateKind::NextHopChange
-                }
-            }
-            AnnounceOutcome::Collapsed => {
-                if flap {
-                    UpdateKind::RouteFlap
-                } else {
-                    UpdateKind::AddCollapsed
-                }
-            }
-            AnnounceOutcome::Singleton => UpdateKind::AddSingleton,
-            AnnounceOutcome::Resetup => UpdateKind::Resetup,
-            AnnounceOutcome::DegradedSpill => UpdateKind::DegradedSpill,
-        };
-        // PARTIAL_UPDATE models the control plane dying between the
-        // sub-cell mutation and the bookkeeping: *this* engine value is
-        // deliberately torn (cell updated, len/stats not). The snapshot
-        // path clones before mutating and publishes only on `Ok`, so
-        // `SharedChisel` readers never observe the tear — exactly the
-        // invariant the fault suite pins down.
-        if faultpoint::fire(faultpoint::PARTIAL_UPDATE) {
-            return Err(ChiselError::FaultInjected {
-                site: faultpoint::PARTIAL_UPDATE,
-            });
-        }
-        if !matches!(outcome, AnnounceOutcome::NextHopOnly) {
-            self.len += 1;
-        }
-        self.stats.record(kind);
-        Ok(kind)
+        self.apply_one(RouteUpdate::Announce(prefix, next_hop))
     }
 
     /// Applies a BGP `withdraw(p, len)`: removes the prefix if present.
+    /// Like [`ChiselLpm::announce`], a window of one.
     ///
     /// # Errors
     ///
-    /// Fails on family mismatch.
+    /// Fails on family mismatch or an unsupported prefix length.
     pub fn withdraw(&mut self, prefix: Prefix) -> Result<UpdateKind, ChiselError> {
+        self.apply_one(RouteUpdate::Withdraw(prefix))
+    }
+
+    /// One update as a window of one. What a window only reports — an
+    /// invalid event, or an insert rolled back for lack of TCAM room — is
+    /// an error here.
+    fn apply_one(&mut self, update: RouteUpdate) -> Result<UpdateKind, ChiselError> {
+        let cell = self.cell_of(update.prefix())?;
+        let (_, kinds) = self.apply_window(&[update])?;
+        if let Some(kind) = kinds[0] {
+            return Ok(kind);
+        }
+        let ci = cell.expect("only a new collapsed key of a sub-cell rolls back");
+        Err(ChiselError::SpilloverOverflow {
+            needed: self.cells[ci].spill_len() + 1,
+            capacity: self.config.spill_capacity,
+        })
+    }
+
+    /// The sub-cell serving `prefix`, or `None` for the default route.
+    fn cell_of(&self, prefix: Prefix) -> Result<Option<usize>, ChiselError> {
         if prefix.family() != self.config.family {
             return Err(ChiselError::FamilyMismatch);
         }
-        self.version += 1;
-        let existed = if prefix.is_empty() {
-            self.default_route.take().is_some()
-        } else {
-            let ci = self
-                .plan
-                .cell_for(prefix.len())
-                .ok_or(ChiselError::UnsupportedLength { len: prefix.len() })?;
-            let base = self.plan.cells()[ci].base;
-            Arc::make_mut(&mut self.cells[ci]).withdraw(
-                prefix.truncate(base).bits(),
-                prefix.len() - base,
-                prefix.suffix_below(base),
-            )
-        };
-        // See `announce`: tears the bare engine between mutation and
-        // bookkeeping; the snapshot path discards the torn clone.
-        if faultpoint::fire(faultpoint::PARTIAL_UPDATE) {
-            return Err(ChiselError::FaultInjected {
-                site: faultpoint::PARTIAL_UPDATE,
-            });
+        if prefix.is_empty() {
+            return Ok(None);
         }
-        if existed {
-            self.len -= 1;
-            self.recent.record(prefix);
+        match self.plan.cell_for(prefix.len()) {
+            Some(ci) => Ok(Some(ci)),
+            None => Err(ChiselError::UnsupportedLength { len: prefix.len() }),
         }
-        self.stats.record(UpdateKind::Withdraw);
-        Ok(UpdateKind::Withdraw)
     }
 
     /// Applies a whole window of updates as one logical change.
@@ -493,6 +428,10 @@ impl ChiselLpm {
     /// failing the window: the resulting state is exactly the sequential
     /// application of the window minus those events.
     ///
+    /// Only these windows count in [`ChiselLpm::batch_stats`]: the
+    /// one-at-a-time [`ChiselLpm::announce`] and [`ChiselLpm::withdraw`]
+    /// never touch those counters.
+    ///
     /// # Errors
     ///
     /// Structural Bloomier failures and injected faults propagate, and
@@ -500,13 +439,32 @@ impl ChiselLpm {
     /// failed [`ChiselLpm::announce`]); the snapshot path discards the
     /// torn clone, so published generations are always whole windows.
     pub fn apply_batch(&mut self, events: &[RouteUpdate]) -> Result<BatchReport, ChiselError> {
+        if events.is_empty() {
+            return Ok(BatchReport::default());
+        }
+        let (report, _) = self.apply_window(events)?;
+        self.batch.batches_published += 1;
+        self.batch.events_ingested += report.ingested as u64;
+        self.batch.events_coalesced += report.coalesced as u64;
+        self.batch.events_rejected += report.rejected_events.len() as u64;
+        self.batch.resetups_saved += report.resetups_saved;
+        self.batch.parallel_resetups += report.parallel_resetups as u64;
+        Ok(report)
+    }
+
+    /// The window engine behind [`ChiselLpm::apply_batch`] and the
+    /// one-at-a-time updates. Returns the window's report and, per
+    /// residual op of its coalesced plan, the op's classification (`None`
+    /// when it was rolled back for lack of TCAM room). `events` must not
+    /// be empty.
+    fn apply_window(
+        &mut self,
+        events: &[RouteUpdate],
+    ) -> Result<(BatchReport, Vec<Option<UpdateKind>>), ChiselError> {
         let mut report = BatchReport {
             ingested: events.len(),
             ..BatchReport::default()
         };
-        if events.is_empty() {
-            return Ok(report);
-        }
         // One conservative flow-cache invalidation for the whole window.
         self.version += 1;
 
@@ -514,13 +472,10 @@ impl ChiselLpm {
         // window — the sequential path would reject it and carry on.
         let mut valid: Vec<(usize, RouteUpdate)> = Vec::with_capacity(events.len());
         for (i, ev) in events.iter().enumerate() {
-            let p = ev.prefix();
-            if p.family() != self.config.family
-                || (!p.is_empty() && self.plan.cell_for(p.len()).is_none())
-            {
-                report.rejected_events.push(i);
-            } else {
+            if self.cell_of(ev.prefix()).is_ok() {
                 valid.push((i, *ev));
+            } else {
+                report.rejected_events.push(i);
             }
         }
 
@@ -552,8 +507,9 @@ impl ChiselLpm {
                 RouteUpdate::Announce(prefix, next_hop) => {
                     let flap = self.recent.take(&prefix);
                     if prefix.is_empty() {
-                        // Mirrors `announce`: `len` tracks whether the
-                        // slot was empty, independent of the flap tag.
+                        // `len` tracks whether the slot was empty, not the
+                        // flap tag: a withdraw/re-announce flap of the
+                        // default route removed a route and restores it.
                         let restored = self.default_route.is_none();
                         let kind = if flap {
                             UpdateKind::RouteFlap
@@ -575,7 +531,7 @@ impl ChiselLpm {
                     let depth = prefix.len() - base;
                     let suffix = prefix.suffix_below(base);
                     let res = Arc::make_mut(&mut self.cells[ci])
-                        .announce_batched(collapsed, depth, suffix, next_hop)?;
+                        .announce(collapsed, depth, suffix, next_hop)?;
                     if res.grew {
                         // The capacity-doubling rebuild re-encoded every
                         // live group of the cell: earlier deferred inserts
@@ -595,23 +551,15 @@ impl ChiselLpm {
                         BatchStep::Applied(outcome) => {
                             let kind = match outcome {
                                 AnnounceOutcome::DirtyRestore => UpdateKind::RouteFlap,
-                                AnnounceOutcome::NextHopOnly => {
-                                    if flap {
-                                        UpdateKind::RouteFlap
-                                    } else {
-                                        UpdateKind::NextHopChange
-                                    }
+                                AnnounceOutcome::NextHopOnly | AnnounceOutcome::Collapsed
+                                    if flap =>
+                                {
+                                    UpdateKind::RouteFlap
                                 }
-                                AnnounceOutcome::Collapsed => {
-                                    if flap {
-                                        UpdateKind::RouteFlap
-                                    } else {
-                                        UpdateKind::AddCollapsed
-                                    }
-                                }
+                                AnnounceOutcome::NextHopOnly => UpdateKind::NextHopChange,
+                                AnnounceOutcome::Collapsed => UpdateKind::AddCollapsed,
                                 AnnounceOutcome::Singleton => UpdateKind::AddSingleton,
                                 AnnounceOutcome::Resetup => UpdateKind::Resetup,
-                                AnnounceOutcome::DegradedSpill => UpdateKind::DegradedSpill,
                             };
                             if !matches!(outcome, AnnounceOutcome::NextHopOnly) {
                                 self.len += 1;
@@ -731,13 +679,7 @@ impl ChiselLpm {
         }
         report.applied_ops = report.kinds.total();
         report.rejected_events.sort_unstable();
-        self.batch.batches_published += 1;
-        self.batch.events_ingested += report.ingested as u64;
-        self.batch.events_coalesced += report.coalesced as u64;
-        self.batch.events_rejected += report.rejected_events.len() as u64;
-        self.batch.resetups_saved += report.resetups_saved;
-        self.batch.parallel_resetups += report.parallel_resetups as u64;
-        Ok(report)
+        Ok((report, kinds))
     }
 
     /// Cumulative batched-update counters ([`ChiselLpm::apply_batch`]).

@@ -42,7 +42,7 @@ mod subcell;
 mod update;
 pub mod verify;
 
-pub use batch::{BatchPlan, BatchReport, PlannedOp, RouteUpdate, UpdateBatch};
+pub use batch::{BatchPlan, BatchReport, PlannedOp, RouteUpdate};
 pub use bitvector::LeafVector;
 pub use concurrent::{CachedReader, EngineSnapshot, SharedChisel};
 pub use config::ChiselConfig;

@@ -85,14 +85,12 @@ pub(crate) enum AnnounceOutcome {
     Collapsed,
     /// New collapsed key inserted via a singleton.
     Singleton,
-    /// New collapsed key forced a partition re-setup.
+    /// New collapsed key inserted after its claim forced the
+    /// capacity-doubling rebuild of the whole cell.
     Resetup,
-    /// The re-setup exhausted its retry budget; the key was parked in the
-    /// spillover TCAM instead (degraded mode).
-    DegradedSpill,
 }
 
-/// Result of one [`SubCell::announce_batched`] step.
+/// Result of one [`SubCell::announce`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BatchAnnounce {
     /// Whether the step triggered a capacity-doubling full cell rebuild.
@@ -104,10 +102,10 @@ pub(crate) struct BatchAnnounce {
     pub step: BatchStep,
 }
 
-/// How a batched announce was absorbed.
+/// How an announce was absorbed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BatchStep {
-    /// Fully applied, same classification as the one-at-a-time path.
+    /// Fully applied.
     Applied(AnnounceOutcome),
     /// New collapsed key that found no singleton: parked transiently in
     /// the spillover TCAM at this slot, awaiting the batch rebuild phase.
@@ -613,8 +611,7 @@ impl SubCell {
 
     /// The existing-collapsed-key half of an announce: clears a dirty bit
     /// if set, inserts/overwrites the prefix in the group shadow and
-    /// regenerates the row. Shared verbatim by the one-at-a-time and
-    /// batched announce paths.
+    /// regenerates the row.
     fn announce_existing(
         &mut self,
         slot: u32,
@@ -693,49 +690,14 @@ impl SubCell {
     }
 
     /// Applies an announce for an original prefix of `depth` extra bits
-    /// and collapsed key `collapsed`.
-    pub fn announce(
-        &mut self,
-        collapsed: u128,
-        depth: u8,
-        suffix: u128,
-        next_hop: NextHop,
-    ) -> Result<AnnounceOutcome, ChiselError> {
-        if let Some(slot) = self.slot_of(collapsed) {
-            return Ok(self.announce_existing(slot, depth, suffix, next_hop));
-        }
-
-        // New collapsed key: claim a slot (growing if exhausted).
-        let (slot, grew) = self.stage_new_group(collapsed, depth, suffix, next_hop)?;
-        let outcome = match self.try_insert_new(collapsed, slot) {
-            Ok(()) if grew => Ok(AnnounceOutcome::Resetup),
-            Ok(()) => Ok(AnnounceOutcome::Singleton),
-            Err(BloomierError::NoSingleton { .. }) => self.resetup_partition_with(collapsed, slot),
-            Err(e) => Err(e.into()),
-        };
-        let outcome = match outcome {
-            Ok(o) => o,
-            Err(e) => {
-                // Recovery was impossible (e.g. no TCAM room to park the
-                // key): roll the new group back so the cell answers
-                // exactly as before the announce.
-                self.rollback_new_group(collapsed, slot);
-                return Err(e);
-            }
-        };
-        self.debug_assert_slot(slot);
-        Ok(outcome)
-    }
-
-    /// Batched-path announce: identical to [`SubCell::announce`] except
-    /// that a no-singleton insert does *not* re-set-up its partition
-    /// inline. The staged key is instead parked transiently in the
-    /// spillover TCAM (searched before the Index Table), which keeps the
-    /// whole cell consistent — lookups, later batch ops and the verifier
-    /// all resolve the key through the TCAM — while the engine defers the
-    /// re-setup to the batch rebuild phase, where all pending inserts of
-    /// one (cell, partition) share a single parallel rebuild unit.
-    pub(crate) fn announce_batched(
+    /// and collapsed key `collapsed`. A new key that finds no singleton
+    /// does *not* re-set up its partition here: it is parked transiently
+    /// in the spillover TCAM (searched before the Index Table), which
+    /// keeps the whole cell consistent — lookups, later ops of the window
+    /// and the verifier all resolve the key through the TCAM — and the
+    /// engine's rebuild phase re-sets up the partition, one unit per
+    /// touched (cell, partition).
+    pub(crate) fn announce(
         &mut self,
         collapsed: u128,
         depth: u8,
@@ -788,12 +750,13 @@ impl SubCell {
         self.index.partition_of(collapsed)
     }
 
-    /// Phase 1 of a deferred partition re-setup: the pure gather of
-    /// [`SubCell::resetup_partition_with`], factored out so batch rebuild
-    /// units can run it (and the candidate build) on `&self` from worker
-    /// threads. Collects the partition's live keys — spillover entries of
-    /// the partition (pending batch inserts included) are re-offered for
-    /// placement — and schedules its dirty rows for purging.
+    /// Phase 1 of a partition re-setup (Section 4.4.2): a pure gather on
+    /// `&self`, so rebuild units can run it (and the candidate build) from
+    /// worker threads. Collects the partition's live keys — spillover
+    /// entries of the partition (pending inserts included) are re-offered
+    /// for placement — and only *schedules* its dirty rows for purging:
+    /// destroying them before the rebuild is known to succeed would tear
+    /// the cell on the failure path.
     pub(crate) fn plan_partition_resetup(&self, part: usize) -> PartitionResetupPlan {
         let mut keys: Vec<(u128, u32)> = Vec::new();
         let mut purges: Vec<u32> = Vec::new();
@@ -841,12 +804,12 @@ impl SubCell {
             .build_partition_candidate(plan.part, &plan.keys, attempts)?)
     }
 
-    /// Phase 3 of a deferred partition re-setup: commit or degrade, run
-    /// sequentially in unit order by the engine. Mirrors the commit tail
-    /// of [`SubCell::resetup_partition_with`], except that on failure the
-    /// unit's pending keys (already parked in the TCAM by
-    /// [`SubCell::announce_batched`]) become formal degraded parks — as
-    /// many as the spill budget allows, in op order — and the rest are
+    /// Phase 3 of a partition re-setup: commit or degrade, run
+    /// sequentially in unit order by the engine. The candidate commits
+    /// only if its spill fits the spillover TCAM. Otherwise the partition
+    /// keeps its encoding, and the unit's pending keys (already parked in
+    /// the TCAM by [`SubCell::announce`]) become formal degraded parks —
+    /// as many as the spill budget allows, in op order — and the rest are
     /// rolled back. `candidate` is `None` when the retry schedule failed
     /// (the SETUP_FAIL draw, taken sequentially by the engine).
     ///
@@ -1020,120 +983,6 @@ impl SubCell {
         }
         self.debug_assert_slot(slot);
         true
-    }
-
-    /// Re-sets-up the partition of `new_key` (Section 4.4.2) under the
-    /// recovery policy: gather the partition's live keys *without mutating
-    /// anything*, build a candidate encoding with the bounded salted retry
-    /// schedule, and commit it only if its spill fits the spillover TCAM.
-    /// When the retry budget fails to produce an acceptable encoding, the
-    /// update degrades gracefully: the new key alone is parked in the TCAM
-    /// (it still serves lookups — the TCAM is searched before the Index
-    /// Table) and the partition keeps its pre-update encoding.
-    ///
-    /// # Errors
-    ///
-    /// [`ChiselError::SpilloverOverflow`] when recovery is impossible
-    /// because the TCAM has no room to park the key; the caller must roll
-    /// the new group back. Structural Bloomier errors propagate.
-    fn resetup_partition_with(
-        &mut self,
-        new_key: u128,
-        new_slot: u32,
-    ) -> Result<AnnounceOutcome, ChiselError> {
-        self.resetups += 1;
-        let part = self.index.partition_of(new_key);
-        // Phase 1 — pure gather. Dirty rows are only *scheduled* for
-        // purging: destroying them before the rebuild is known to succeed
-        // would tear the cell on the failure path.
-        let mut keys: Vec<(u128, u32)> = vec![(new_key, new_slot)];
-        let mut purges: Vec<u32> = Vec::new();
-        for slot in 0..self.filter.len() as u32 {
-            let e = &self.filter[slot as usize];
-            if !e.valid || e.key == new_key {
-                continue;
-            }
-            if self.index.partition_of(e.key) != part {
-                continue;
-            }
-            if self.spill.iter().any(|&(k, _)| k == e.key) {
-                continue; // handled below
-            }
-            if e.dirty {
-                purges.push(slot);
-            } else {
-                keys.push((e.key, slot));
-            }
-        }
-        // Spilled keys of this partition get another chance to be placed.
-        let mut kept = Vec::with_capacity(self.spill.len());
-        for &(k, s) in &self.spill {
-            if self.index.partition_of(k) == part {
-                if self.filter[s as usize].dirty {
-                    purges.push(s);
-                } else {
-                    keys.push((k, s));
-                }
-            } else {
-                kept.push((k, s));
-            }
-        }
-        // Phase 2 — build a candidate without installing it. SETUP_FAIL
-        // models a retry schedule that never converges.
-        let attempts = self.params.resetup_retries.max(1);
-        let candidate = if faultpoint::fire(faultpoint::SETUP_FAIL) {
-            self.recovery.resetup_attempts += attempts as u64;
-            self.recovery.resetup_retries += (attempts - 1) as u64;
-            None
-        } else {
-            let c = self
-                .index
-                .build_partition_candidate(part, &keys, attempts)?;
-            self.recovery.resetup_attempts += c.attempts as u64;
-            self.recovery.resetup_retries += c.attempts.saturating_sub(1) as u64;
-            Some(c)
-        };
-        // Phase 3 — commit or degrade. SPILL_OVERFLOW models every retry
-        // spilling more keys than the TCAM holds.
-        let acceptable = candidate.as_ref().is_some_and(|c| {
-            kept.len() + c.spilled.len() <= self.params.spill_capacity
-                && !faultpoint::fire(faultpoint::SPILL_OVERFLOW)
-        });
-        if let (true, Some(c)) = (acceptable, candidate) {
-            for &s in &purges {
-                self.purge_slot(s);
-            }
-            self.index.install_partition(part, c.filter, c.salt);
-            self.spill = kept;
-            self.spill.extend(c.spilled);
-            self.sort_spill();
-            // Every previously-degraded key of this partition was handed
-            // to the rebuild, so it now has a healthy encoding (or is a
-            // regular spill): its park is reclaimed.
-            if !self.degraded.is_empty() {
-                let before = self.degraded.len();
-                let index = &self.index;
-                self.degraded.retain(|&k| index.partition_of(k) != part);
-                self.recovery.degraded_reclaims += (before - self.degraded.len()) as u64;
-            }
-            return Ok(AnnounceOutcome::Resetup);
-        }
-        // Degraded path: the partition keeps its pre-update encoding and
-        // only the new key is parked — if the TCAM has room for it.
-        self.recovery.resetup_failures += 1;
-        if self.spill.len() >= self.params.spill_capacity {
-            return Err(ChiselError::SpilloverOverflow {
-                needed: self.spill.len() + 1,
-                capacity: self.params.spill_capacity,
-            });
-        }
-        self.spill.push((new_key, new_slot));
-        self.sort_spill();
-        if let Err(i) = self.degraded.binary_search(&new_key) {
-            self.degraded.insert(i, new_key);
-        }
-        self.recovery.degraded_parks += 1;
-        Ok(AnnounceOutcome::DegradedSpill)
     }
 
     /// Frees a dirty slot entirely (purge at re-setup time).

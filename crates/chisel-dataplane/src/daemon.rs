@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use chisel_core::faultpoint;
 use chisel_core::journal::{DurableControl, DurableError, DurableOptions, DurableStats};
-use chisel_core::{CachedReader, FlowCache, LookupTrace, RouteUpdate, SharedChisel};
+use chisel_core::{CachedReader, FlowCache, LookupTrace, SharedChisel};
 use chisel_prefix::{Key, NextHop};
 use chisel_workloads::keystream::BatchSource;
 use chisel_workloads::UpdateEvent;
@@ -671,18 +671,11 @@ fn control_main(
             report.halted = true;
             break;
         }
-        let events: Vec<RouteUpdate> = chunk
-            .iter()
-            .map(|ev| match *ev {
-                UpdateEvent::Announce(p, nh) => RouteUpdate::Announce(p, nh),
-                UpdateEvent::Withdraw(p) => RouteUpdate::Withdraw(p),
-            })
-            .collect();
         let outcome = match &mut durable {
             None => shared
-                .apply_batch(&events)
+                .apply_batch(chunk)
                 .map_err(|e| CtrlFail::Reject(e.to_string())),
-            Some(dc) => dc.apply_batch(&events).map_err(durable_fail),
+            Some(dc) => dc.apply_batch(chunk).map_err(durable_fail),
         };
         match outcome {
             Ok(batch) => {

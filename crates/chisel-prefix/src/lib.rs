@@ -7,6 +7,7 @@
 //!   followed by implicit wildcard bits.
 //! - [`Key`]: a fully-specified lookup key (a complete address).
 //! - [`RoutingTable`]: a deduplicated set of [`RouteEntry`] values.
+//! - [`RouteUpdate`]: one BGP announce or withdraw.
 //! - [`cpe`]: Controlled Prefix Expansion (Srinivasan & Varghese), the
 //!   baseline wildcard-support transform the paper compares against.
 //! - [`collapse`]: prefix collapsing, the paper's novel transform
@@ -52,5 +53,5 @@ pub use error::PrefixError;
 pub use key::Key;
 pub use nexthop::NextHop;
 pub use prefix::{AddressFamily, Prefix};
-pub use route::RouteEntry;
+pub use route::{RouteEntry, RouteUpdate};
 pub use table::{LengthHistogram, RoutingTable};

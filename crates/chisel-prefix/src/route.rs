@@ -24,6 +24,28 @@ impl fmt::Display for RouteEntry {
     }
 }
 
+/// One BGP route update: the event type shared by trace generators, the
+/// MRT codec, the engine's update windows and the journal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouteUpdate {
+    /// BGP `announce(p, len, h)`: insert the prefix or update its next hop.
+    Announce(Prefix, NextHop),
+    /// BGP `withdraw(p, len)`: remove the prefix if present (no-op
+    /// otherwise).
+    Withdraw(Prefix),
+}
+
+impl RouteUpdate {
+    /// The prefix this update targets.
+    #[inline]
+    pub fn prefix(&self) -> Prefix {
+        match *self {
+            RouteUpdate::Announce(p, _) => p,
+            RouteUpdate::Withdraw(p) => p,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,14 +13,8 @@ use chisel_prefix::{NextHop, Prefix, RoutingTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One BGP update event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateEvent {
-    /// `announce(p, len, h)`.
-    Announce(Prefix, NextHop),
-    /// `withdraw(p, len)`.
-    Withdraw(Prefix),
-}
+/// One BGP update event: the workspace's one update type.
+pub use chisel_prefix::RouteUpdate as UpdateEvent;
 
 /// The event mix of one synthetic collector trace.
 #[derive(Debug, Clone, Copy)]

@@ -80,7 +80,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use chisel::core::journal::DurableOptions;
-use chisel::core::{DegradedMode, FlowCache, RouteUpdate, SharedChisel};
+use chisel::core::{DegradedMode, FlowCache, SharedChisel};
 use chisel::dataplane::{signal, Dataplane, DataplaneConfig, RunOptions};
 use chisel::prefix::io::read_table;
 use chisel::prefix::parallel::resolve_threads;
@@ -593,14 +593,7 @@ fn cmd_replay(
         // Windowed replay: each chunk coalesces per prefix, runs its
         // re-setups in parallel and publishes a single generation.
         for chunk in events.chunks(batch) {
-            let window: Vec<RouteUpdate> = chunk
-                .iter()
-                .map(|ev| match *ev {
-                    UpdateEvent::Announce(p, nh) => RouteUpdate::Announce(p, nh),
-                    UpdateEvent::Withdraw(p) => RouteUpdate::Withdraw(p),
-                })
-                .collect();
-            match shared.apply_batch(&window) {
+            match shared.apply_batch(chunk) {
                 Ok(report) => {
                     let r = report.rejected_events.len();
                     if r > 0 && adversarial.is_none() {

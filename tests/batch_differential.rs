@@ -32,13 +32,6 @@ fn assert_verified(e: &ChiselLpm) {
     assert!(image.is_ok(), "image invariants violated:\n{image}");
 }
 
-fn to_route(ev: &UpdateEvent) -> RouteUpdate {
-    match *ev {
-        UpdateEvent::Announce(p, nh) => RouteUpdate::Announce(p, nh),
-        UpdateEvent::Withdraw(p) => RouteUpdate::Withdraw(p),
-    }
-}
-
 /// The engine's logical route set, as comparable (prefix, next-hop) data.
 fn route_set(e: &ChiselLpm) -> BTreeMap<(u8, u128), u32> {
     e.iter_routes()
@@ -100,8 +93,7 @@ fn batched_replay_matches_sequential_across_profiles_and_windows() {
         for window in WINDOWS {
             let mut e = base.clone();
             for chunk in trace.chunks(window) {
-                let events: Vec<RouteUpdate> = chunk.iter().map(to_route).collect();
-                let report = e.apply_batch(&events).expect("apply_batch");
+                let report = e.apply_batch(chunk).expect("apply_batch");
                 assert!(
                     report.rejected_events.is_empty(),
                     "{} window {window}: rejected {:?}",
@@ -140,10 +132,7 @@ fn coalescing_fires_on_rrc_flap_profiles() {
             0x0C0A ^ profile.seed,
         );
         let trace = generate_trace(&table, 2_000, &profile);
-        let windows: Vec<Vec<RouteUpdate>> = trace
-            .chunks(64)
-            .map(|chunk| chunk.iter().map(to_route).collect())
-            .collect();
+        let windows: Vec<&[UpdateEvent]> = trace.chunks(64).collect();
         let planned: usize = windows.iter().map(|w| BatchPlan::of(w).coalesced()).sum();
         assert!(
             planned > 0,
@@ -201,8 +190,7 @@ fn pinned_readers_only_see_whole_windows() {
             })
             .collect();
         for chunk in trace.chunks(64) {
-            let events: Vec<RouteUpdate> = chunk.iter().map(to_route).collect();
-            shared.apply_batch(&events).expect("apply_batch");
+            shared.apply_batch(chunk).expect("apply_batch");
             let snap = shared.snapshot();
             expected.insert(snap.generation(), answers(&snap));
         }

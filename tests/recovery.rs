@@ -252,7 +252,6 @@ fn recovery_chains_through_a_second_incarnation() {
 
 #[test]
 fn batched_windows_journal_one_record_per_generation() {
-    use chisel::core::RouteUpdate;
     let dir = tempdir("windows");
     let shared = build_shared();
     let trace = flap_trace(192, 47);
@@ -260,14 +259,7 @@ fn batched_windows_journal_one_record_per_generation() {
     let mut dc = DurableControl::create(shared.clone(), opts.clone()).unwrap();
     let mut log: Vec<(u64, UpdateEvent)> = Vec::new();
     for chunk in trace.chunks(16) {
-        let window: Vec<RouteUpdate> = chunk
-            .iter()
-            .map(|ev| match *ev {
-                UpdateEvent::Announce(p, nh) => RouteUpdate::Announce(p, nh),
-                UpdateEvent::Withdraw(p) => RouteUpdate::Withdraw(p),
-            })
-            .collect();
-        let report = dc.apply_batch(&window).unwrap();
+        let report = dc.apply_batch(chunk).unwrap();
         let generation = dc.shared().generation();
         let mut rejected = report.rejected_events.iter().copied().peekable();
         for (i, ev) in chunk.iter().enumerate() {

@@ -374,6 +374,53 @@ fn flow_cache_coherent_across_1024_interleaved_schedules() {
     );
 }
 
+/// FNV-1a 64 over a byte string.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The hardware image one-at-a-time updates leave behind, pinned to a
+/// constant: a change to the update path that moves a single word of any
+/// table (a different slot claim, Result Table block, re-setup salt or
+/// spill order) fails here even when every lookup still answers right.
+/// Re-record the constant only for a deliberate image-format change.
+#[test]
+fn one_at_a_time_updates_reproduce_the_golden_image() {
+    use chisel::core::RouteUpdate;
+    use chisel::workloads::{
+        generate_trace, resetup_storm_profile, synthesize, PrefixLenDistribution,
+    };
+
+    const GOLDEN: u64 = 0xbb76_dfa6_8da1_a580;
+    let table = synthesize(20_000, &PrefixLenDistribution::bgp_ipv4(), 0x601D);
+    let mut profile = resetup_storm_profile();
+    profile.seed = 0x601D;
+    let trace = generate_trace(&table, 4_000, &profile);
+    let base = ChiselLpm::build(&table, ChiselConfig::ipv4()).unwrap();
+
+    let mut scalar = base.clone();
+    for ev in &trace {
+        match *ev {
+            RouteUpdate::Announce(p, hop) => scalar.announce(p, hop).unwrap(),
+            RouteUpdate::Withdraw(p) => scalar.withdraw(p).unwrap(),
+        };
+    }
+    assert!(
+        scalar.update_stats().resetups > 0,
+        "the trace must exercise a re-setup"
+    );
+    let golden = fnv1a64(&scalar.export_image().to_bytes());
+    assert_eq!(golden, GOLDEN, "image hash {golden:#018x}");
+
+    let mut windowed = base;
+    for ev in &trace {
+        windowed.apply_batch(std::slice::from_ref(ev)).unwrap();
+    }
+    assert_eq!(fnv1a64(&windowed.export_image().to_bytes()), golden);
+}
+
 #[test]
 fn verifier_flags_corrupted_images() {
     // The negative direction: seed single-word corruptions into an
