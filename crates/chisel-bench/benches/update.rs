@@ -2,10 +2,10 @@
 //! updates/sec of the five synthetic RIS collector profiles replayed
 //! through `SharedChisel` at batching windows {1, 16, 64, 256}, with a
 //! concurrent reader thread sampling lookup latency (p99 ns per 64-key
-//! batch) the whole time. Window 1 is the true per-event production path
-//! (one engine clone + one published generation per accepted event);
-//! wider windows go through `SharedChisel::apply_batch` (one clone, one
-//! generation, coalescing and parallel re-setups per window).
+//! batch) the whole time. Every window goes through
+//! `SharedChisel::apply_batch` (one clone, coalescing and parallel
+//! re-setups, and one published generation if the window accepted any
+//! event); window 1 is the per-event production path.
 //!
 //! A separate re-setup storm scenario (add-new-heavy trace against a
 //! low-partition config) exercises the parallel re-setup sharing path
@@ -81,22 +81,10 @@ fn replay(shared: &SharedChisel, trace: &[UpdateEvent], window: usize, keys: &[K
         });
         let start = Instant::now();
         let mut rejected = 0usize;
-        if window <= 1 {
-            for ev in trace {
-                let outcome = match *ev {
-                    UpdateEvent::Announce(p, nh) => shared.announce(p, nh).map(|_| ()),
-                    UpdateEvent::Withdraw(p) => shared.withdraw(p).map(|_| ()),
-                };
-                if outcome.is_err() {
-                    rejected += 1;
-                }
-            }
-        } else {
-            for chunk in trace.chunks(window) {
-                match shared.apply_batch(chunk) {
-                    Ok(report) => rejected += report.rejected_events.len(),
-                    Err(_) => rejected += chunk.len(),
-                }
+        for chunk in trace.chunks(window) {
+            match shared.apply_batch(chunk) {
+                Ok(report) => rejected += report.rejected_events.len(),
+                Err(_) => rejected += chunk.len(),
             }
         }
         let elapsed = start.elapsed();

@@ -129,6 +129,23 @@ impl BatchReport {
     pub fn accepted(&self) -> usize {
         self.ingested - self.rejected_events.len()
     }
+
+    /// The events of `window` (the slice this report was produced from)
+    /// that the engine accepted, in window order.
+    pub fn accepted_events<'w>(
+        &self,
+        window: &'w [RouteUpdate],
+    ) -> impl Iterator<Item = &'w RouteUpdate> + use<'_, 'w> {
+        let mut next_rejected = self.rejected_events.iter().copied().peekable();
+        window.iter().enumerate().filter_map(move |(i, ev)| {
+            if next_rejected.peek() == Some(&i) {
+                next_rejected.next();
+                None
+            } else {
+                Some(ev)
+            }
+        })
+    }
 }
 
 #[cfg(test)]

@@ -46,8 +46,8 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// How many updates had been published when this snapshot was taken
-    /// (the freshly-built engine is generation 0).
+    /// How many update windows had been published when this snapshot was
+    /// taken (the freshly-built engine is generation 0).
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -114,8 +114,8 @@ impl SharedChisel {
 
     /// Wraps an existing engine, republishing at a specific generation.
     /// Crash recovery (`crate::journal`) uses this to re-enter the
-    /// generation sequence exactly where the checkpoint froze it before
-    /// replaying the journal tail.
+    /// generation sequence exactly where the replayed journal tail left
+    /// it.
     pub fn from_engine_at(engine: ChiselLpm, generation: u64) -> Self {
         SharedChisel {
             inner: Arc::new(Inner {
@@ -161,7 +161,7 @@ impl SharedChisel {
     /// Propagates [`ChiselLpm::announce`] errors; on error no new
     /// snapshot is published (the update is atomic).
     pub fn announce(&self, prefix: Prefix, next_hop: NextHop) -> Result<UpdateKind, ChiselError> {
-        self.update(|e| e.announce(prefix, next_hop))
+        self.update(|e| e.announce(prefix, next_hop), |_| true)
     }
 
     /// Applies a withdraw and publishes the resulting snapshot.
@@ -171,7 +171,7 @@ impl SharedChisel {
     /// Propagates [`ChiselLpm::withdraw`] errors; on error no new
     /// snapshot is published.
     pub fn withdraw(&self, prefix: Prefix) -> Result<UpdateKind, ChiselError> {
-        self.update(|e| e.withdraw(prefix))
+        self.update(|e| e.withdraw(prefix), |_| true)
     }
 
     /// Applies a whole update window ([`ChiselLpm::apply_batch`]) and
@@ -182,6 +182,10 @@ impl SharedChisel {
     /// non-rejected events) or none of it, never a torn mix. Flow caches
     /// invalidate wholesale once per window, not once per event.
     ///
+    /// A window that accepts no event (empty, or every event rejected)
+    /// publishes nothing: the clone is dropped and the generation stays
+    /// where it was.
+    ///
     /// # Errors
     ///
     /// Propagates [`ChiselLpm::apply_batch`] errors; on error the torn
@@ -190,13 +194,15 @@ impl SharedChisel {
         &self,
         events: &[crate::batch::RouteUpdate],
     ) -> Result<crate::batch::BatchReport, ChiselError> {
-        self.update(|e| e.apply_batch(events))
+        self.update(|e| e.apply_batch(events), |r| r.accepted() > 0)
     }
 
-    /// Clone-apply-publish under the writer lock.
+    /// Clone-apply-publish under the writer lock; the clone is published
+    /// only when `publish` approves the result.
     fn update<T>(
         &self,
         f: impl FnOnce(&mut ChiselLpm) -> Result<T, ChiselError>,
+        publish: impl FnOnce(&T) -> bool,
     ) -> Result<T, ChiselError> {
         let _writers = self.inner.writer.lock().expect("writer lock poisoned");
         let current = self.inner.cell.load_owned();
@@ -206,10 +212,12 @@ impl SharedChisel {
         // the chunks and partition it touches (`Arc::make_mut`).
         let mut next = current.engine.clone();
         let out = f(&mut next)?;
-        self.inner.cell.store(Arc::new(EngineSnapshot {
-            generation: current.generation + 1,
-            engine: next,
-        }));
+        if publish(&out) {
+            self.inner.cell.store(Arc::new(EngineSnapshot {
+                generation: current.generation + 1,
+                engine: next,
+            }));
+        }
         Ok(out)
     }
 
@@ -486,6 +494,36 @@ mod tests {
             Some(NextHop::new(4))
         );
         assert!(snap.verify().is_ok());
+    }
+
+    #[test]
+    fn batch_accepting_nothing_publishes_nothing() {
+        use crate::batch::RouteUpdate;
+        let s = shared();
+        let before = s.snapshot();
+        let v6: Prefix = "2001:db8::/32".parse().unwrap();
+        for window in [
+            &[][..],
+            &[RouteUpdate::Announce(v6, NextHop::new(3))][..],
+            &[RouteUpdate::Withdraw(v6), RouteUpdate::Withdraw(v6)][..],
+        ] {
+            let report = s.apply_batch(window).unwrap();
+            assert_eq!(report.accepted(), 0);
+            assert_eq!(s.generation(), 0);
+            assert!(
+                Arc::ptr_eq(&before, &s.snapshot()),
+                "a snapshot was published"
+            );
+        }
+        // One accepted event among rejected ones still publishes.
+        let report = s
+            .apply_batch(&[
+                RouteUpdate::Withdraw(v6),
+                RouteUpdate::Announce("11.0.0.0/8".parse().unwrap(), NextHop::new(2)),
+            ])
+            .unwrap();
+        assert_eq!(report.rejected_events, vec![0]);
+        assert_eq!(s.generation(), 1);
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //! - **Recovery** ([`recover`]): load the newest valid checkpoint,
 //!   rebuild the engine from its route set, cross-check the rebuild
 //!   against the checkpointed image's own answers, then replay the
-//!   journal tail through [`SharedChisel::apply_batch`] — one record,
-//!   one generation — landing at exactly the last durable pre-crash
-//!   generation (enforced: every replayed record's stamp must be the
-//!   generation it republishes).
+//!   journal tail on the bare engine — one record, one generation — and
+//!   wrap it once in a [`SharedChisel`] at exactly the last durable
+//!   pre-crash generation (enforced: every replayed record's stamp must
+//!   follow its predecessor's by one).
 //!
 //! [`DurableControl`] packages the write side: apply-then-append (an
 //! update is acknowledged only after its journal append returns),
@@ -49,7 +49,7 @@ use chisel_prefix::{AddressFamily, Key, NextHop, Prefix, RoutingTable};
 use crate::batch::{BatchReport, RouteUpdate};
 use crate::concurrent::EngineSnapshot;
 use crate::image::{fnv1a32, HardwareImage, ImageError};
-use crate::{faultpoint, ChiselConfig, ChiselError, ChiselLpm, SharedChisel, UpdateKind};
+use crate::{faultpoint, ChiselConfig, ChiselError, ChiselLpm, SharedChisel};
 
 /// Magic bytes opening every journal file.
 const JOURNAL_MAGIC: [u8; 4] = *b"CHSJ";
@@ -740,7 +740,7 @@ pub struct RecoveryReport {
     pub final_generation: u64,
     /// Routes rebuilt from the checkpoint.
     pub checkpoint_routes: usize,
-    /// Journal records replayed (each republished one generation).
+    /// Journal records replayed (each advanced the generation by one).
     pub replayed_records: usize,
     /// Events inside the replayed records.
     pub replayed_events: usize,
@@ -778,13 +778,14 @@ pub fn recover(checkpoint: &Path, journal: &Path) -> Result<Recovered, JournalEr
 }
 
 /// The recovery path: rebuild an engine from the checkpoint's route
-/// set, cross-check it against the checkpointed image's answers, wrap
-/// it at the checkpoint generation, then replay the journal tail one
-/// record per generation.
+/// set, cross-check it against the checkpointed image's answers, replay
+/// the journal tail on that bare engine one record per generation, and
+/// wrap the result once at the last replayed stamp. No reader exists
+/// yet, so no intermediate generation is published.
 ///
 /// The landing generation is *provably* the last durable pre-crash
-/// generation: every replayed record must carry the exact stamp its
-/// replay republishes ([`JournalError::GenerationGap`] otherwise), the
+/// generation: every replayed record must carry the exact stamp that
+/// follows its predecessor ([`JournalError::GenerationGap`] otherwise), the
 /// stamps are strictly monotonic by journal contract, and a record the
 /// crashed process never finished appending was truncated by the
 /// scanner — so the final generation equals the last intact record's
@@ -814,7 +815,7 @@ pub fn recover_with_config(
     for &(prefix, next_hop) in &checkpoint.routes {
         table.insert(prefix, next_hop);
     }
-    let engine = ChiselLpm::build(&table, config).map_err(JournalError::Engine)?;
+    let mut engine = ChiselLpm::build(&table, config).map_err(JournalError::Engine)?;
     // Cross-check: the rebuilt engine must answer exactly as the
     // checkpointed image does — one probe inside every route.
     for &(prefix, _) in &checkpoint.routes {
@@ -823,7 +824,7 @@ pub fn recover_with_config(
             return Err(JournalError::CheckpointDiverged { key });
         }
     }
-    let shared = SharedChisel::from_engine_at(engine, checkpoint.generation);
+    let mut generation = checkpoint.generation;
     let scan = read_journal(journal, checkpoint.family)?;
     let mut report = RecoveryReport {
         checkpoint_generation: checkpoint.generation,
@@ -839,14 +840,14 @@ pub fn recover_with_config(
             report.skipped_records += 1;
             continue;
         }
-        let expected = shared.generation() + 1;
+        let expected = generation + 1;
         if record.generation != expected {
             return Err(JournalError::GenerationGap {
                 expected,
                 got: record.generation,
             });
         }
-        let batch: BatchReport = shared
+        let batch = engine
             .apply_batch(&record.events)
             .map_err(JournalError::Engine)?;
         if !batch.rejected_events.is_empty() {
@@ -855,10 +856,12 @@ pub fn recover_with_config(
                 rejected: batch.rejected_events.len(),
             });
         }
+        generation = expected;
         report.replayed_records += 1;
         report.replayed_events += record.events.len();
     }
-    report.final_generation = shared.generation();
+    report.final_generation = generation;
+    let shared = SharedChisel::from_engine_at(engine, generation);
     Ok(Recovered { shared, report })
 }
 
@@ -899,7 +902,8 @@ impl DurableOptions {
 /// Counters of one [`DurableControl`]'s lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurableStats {
-    /// Journal records appended (one per accepted update or window).
+    /// Journal records appended: one per published window, none for a
+    /// window that accepted nothing.
     pub appended_records: u64,
     /// Events inside those records.
     pub appended_events: u64,
@@ -1006,73 +1010,31 @@ impl DurableControl {
         self.durable_generation
     }
 
-    /// Durable announce: publish, then append the record.
-    ///
-    /// # Errors
-    ///
-    /// [`DurableError::Engine`] on rejection (state unchanged);
-    /// [`DurableError::Journal`] on a durability failure (fatal).
-    pub fn announce(
-        &mut self,
-        prefix: Prefix,
-        next_hop: NextHop,
-    ) -> Result<UpdateKind, DurableError> {
-        let kind = self
-            .shared
-            .announce(prefix, next_hop)
-            .map_err(DurableError::Engine)?;
-        self.commit(&[RouteUpdate::Announce(prefix, next_hop)])?;
-        Ok(kind)
-    }
-
-    /// Durable withdraw: publish, then append the record.
-    ///
-    /// # Errors
-    ///
-    /// Same planes as [`DurableControl::announce`].
-    pub fn withdraw(&mut self, prefix: Prefix) -> Result<UpdateKind, DurableError> {
-        let kind = self.shared.withdraw(prefix).map_err(DurableError::Engine)?;
-        self.commit(&[RouteUpdate::Withdraw(prefix)])?;
-        Ok(kind)
-    }
-
     /// Durable update window: publish one generation through
     /// [`SharedChisel::apply_batch`], then append the window's
     /// *accepted* events as one record (a torn window can never replay
-    /// partially — the record is the atom).
+    /// partially — the record is the atom). A window that accepted
+    /// nothing published nothing, so it appends nothing either. A single
+    /// update is a window of one.
     ///
     /// # Errors
     ///
-    /// Same planes as [`DurableControl::announce`]; a window that
-    /// published with per-event rejections is `Ok` (inspect the
+    /// [`DurableError::Engine`] on a failed window (state unchanged);
+    /// [`DurableError::Journal`] on a durability failure (fatal). A
+    /// window with per-event rejections is `Ok` (inspect the
     /// [`BatchReport`]), matching the non-durable batch path.
     pub fn apply_batch(&mut self, events: &[RouteUpdate]) -> Result<BatchReport, DurableError> {
         let batch = self
             .shared
             .apply_batch(events)
             .map_err(DurableError::Engine)?;
-        let accepted: Vec<RouteUpdate> = if batch.rejected_events.is_empty() {
-            events.to_vec()
-        } else {
-            let mut next_rejected = batch.rejected_events.iter().copied().peekable();
-            let mut kept = Vec::with_capacity(events.len() - batch.rejected_events.len());
-            for (i, ev) in events.iter().enumerate() {
-                if next_rejected.peek() == Some(&i) {
-                    next_rejected.next();
-                } else {
-                    kept.push(*ev);
-                }
-            }
-            kept
-        };
-        self.commit(&accepted)?;
-        Ok(batch)
-    }
-
-    fn commit(&mut self, accepted: &[RouteUpdate]) -> Result<(), DurableError> {
+        if batch.accepted() == 0 {
+            return Ok(batch);
+        }
+        let accepted: Vec<RouteUpdate> = batch.accepted_events(events).copied().collect();
         let generation = self.shared.generation();
         self.writer
-            .append(generation, accepted)
+            .append(generation, &accepted)
             .map_err(DurableError::Journal)?;
         self.durable_generation = generation;
         self.stats.appended_records += 1;
@@ -1083,7 +1045,7 @@ impl DurableControl {
         {
             self.checkpoint().map_err(DurableError::Journal)?;
         }
-        Ok(())
+        Ok(batch)
     }
 
     /// Forces a checkpoint of the current snapshot, then rotates the
@@ -1290,7 +1252,8 @@ mod tests {
         assert_eq!(dc.stats().checkpoints, 1);
         for i in 0..6u32 {
             let p = Prefix::new(AddressFamily::V4, 0x1500 | u128::from(i), 16).unwrap();
-            dc.announce(p, NextHop::new(200 + i)).unwrap();
+            dc.apply_batch(&[RouteUpdate::Announce(p, NextHop::new(200 + i))])
+                .unwrap();
         }
         // checkpoint_every = 4: one periodic rotation happened, so the
         // journal holds only the post-rotation tail.
@@ -1307,6 +1270,46 @@ mod tests {
             let k = Key::from_raw(AddressFamily::V4, (0x1500 | u128::from(i)) << 16 | 1);
             assert_eq!(rec.shared.lookup(k), Some(NextHop::new(200 + i)));
         }
+    }
+
+    #[test]
+    fn window_accepting_nothing_publishes_and_journals_nothing() {
+        let dir = tempdir();
+        let journal = unique(&dir, "empty-window.journal", "unit");
+        let opts = DurableOptions {
+            fsync: false,
+            ..DurableOptions::at(&journal, 0)
+        };
+        let mut dc = DurableControl::create(shared(), opts).unwrap();
+        let v6 = RouteUpdate::Announce("2001:db8::/32".parse().unwrap(), NextHop::new(3));
+        let report = dc.apply_batch(&[v6]).unwrap();
+        assert_eq!(report.accepted(), 0);
+        assert_eq!(dc.shared().generation(), 0);
+        assert_eq!(dc.durable_generation(), 0);
+        assert_eq!(dc.stats().appended_records, 0);
+        let scan = read_journal(&journal, AddressFamily::V4).unwrap();
+        assert!(scan.records.is_empty());
+    }
+
+    #[test]
+    fn empty_record_from_an_older_writer_still_recovers() {
+        let dir = tempdir();
+        let ckpt = unique(&dir, "older.ckpt", "unit");
+        let journal = unique(&dir, "older.journal", "unit");
+        write_checkpoint(&ckpt, &shared().snapshot()).unwrap();
+        let mut w = JournalWriter::create(&journal, AddressFamily::V4, false).unwrap();
+        w.append(1, &[]).unwrap();
+        let p: Prefix = "99.0.0.0/8".parse().unwrap();
+        w.append(2, &[RouteUpdate::Announce(p, NextHop::new(42))])
+            .unwrap();
+        let rec = recover(&ckpt, &journal).unwrap();
+        assert_eq!(rec.report.final_generation, 2);
+        assert_eq!(rec.report.replayed_records, 2);
+        assert_eq!(rec.shared.generation(), 2);
+        assert_eq!(
+            rec.shared.lookup("99.1.2.3".parse().unwrap()),
+            Some(NextHop::new(42))
+        );
     }
 
     #[test]

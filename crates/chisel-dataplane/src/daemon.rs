@@ -61,11 +61,11 @@ pub struct DataplaneConfig {
     /// more memory latency and feed the vectorized Index Table probe
     /// more work per gather.
     pub lane_depth: usize,
-    /// Control-plane update batching window, in events. `1` (the
-    /// default) replays the trace one event / one snapshot generation at
-    /// a time; `> 1` feeds windows of that size through
-    /// [`SharedChisel::apply_batch`], so each window coalesces, runs its
-    /// re-setups in parallel, and publishes exactly one generation.
+    /// Control-plane update batching window, in events. The trace is
+    /// fed through [`SharedChisel::apply_batch`] in windows of this size
+    /// (default 1: one event per window), so each window coalesces, runs
+    /// its re-setups in parallel, and publishes one generation — none if
+    /// it accepted no event.
     pub update_batch: usize,
     /// Supervise worker shards (the default): a panicking shard is
     /// caught, respawned on a fresh reader over the current snapshot,
@@ -112,8 +112,9 @@ pub struct RunOptions {
     pub traced: bool,
     /// Journal + checkpoint the control plane's updates through a
     /// [`DurableControl`] (see `chisel_core::journal`): an initial
-    /// checkpoint at spawn, one journal record per accepted update (or
-    /// window), periodic checkpoints, and a final checkpoint at drain.
+    /// checkpoint at spawn, one journal record per published window
+    /// (none for a window that accepted nothing), periodic checkpoints,
+    /// and a final checkpoint at drain.
     pub durable: Option<DurableOptions>,
     /// External shutdown flag (e.g. the SIGINT/SIGTERM latch from
     /// [`crate::signal::shutdown_flag`]). When set, the dispatcher runs
@@ -138,7 +139,8 @@ pub struct BatchRecord {
 /// What the control-plane thread did.
 #[derive(Debug, Clone, Default)]
 pub struct ControlReport {
-    /// Updates accepted (each published one snapshot generation).
+    /// Updates accepted, summed over windows. A window that accepted
+    /// any event published one snapshot generation.
     pub applied: usize,
     /// Typed rejections tolerated (adversarial mode only).
     pub rejected: usize,
@@ -149,8 +151,9 @@ pub struct ControlReport {
     /// Generation published when the control plane finished.
     pub final_generation: u64,
     /// The accepted events in application order (recorded runs only).
-    /// With `update_batch == 1`, generation `g` is the state after
-    /// `accepted[..g]`; with a wider window, use
+    /// With `update_batch == 1`, generation `start_generation + g` is the
+    /// state after `accepted[..g]`, because a rejected event publishes
+    /// nothing; with a wider window, use
     /// [`accepted_upto`](Self::accepted_upto) instead — one generation
     /// covers a whole window.
     pub accepted: Vec<UpdateEvent>,
@@ -594,10 +597,10 @@ fn durable_fail(e: DurableError) -> CtrlFail {
 }
 
 /// The control plane: replay the trace through the shared handle until
-/// done or told to stop. With `window == 1` every accepted event
-/// publishes its own snapshot generation; with a wider window the trace
-/// is fed through [`SharedChisel::apply_batch`] in chunks, each chunk
-/// coalescing internally and publishing exactly one generation.
+/// done or told to stop. The trace is fed through
+/// [`SharedChisel::apply_batch`] in chunks of `window` events, each
+/// chunk coalescing internally and publishing one generation — or none,
+/// if it accepted no event. A window of one is one event per generation.
 ///
 /// A durable run wraps the handle in a [`DurableControl`]: initial
 /// checkpoint at spawn, one journal record per publication, and — if
@@ -627,46 +630,7 @@ fn control_main(
         },
         None => None,
     };
-    if window <= 1 {
-        for ev in updates {
-            if stop.load(Ordering::Acquire) {
-                report.halted = true;
-                break;
-            }
-            let outcome: Result<(), CtrlFail> = match (&mut durable, *ev) {
-                (None, UpdateEvent::Announce(p, nh)) => shared
-                    .announce(p, nh)
-                    .map(|_| ())
-                    .map_err(|e| CtrlFail::Reject(e.to_string())),
-                (None, UpdateEvent::Withdraw(p)) => shared
-                    .withdraw(p)
-                    .map(|_| ())
-                    .map_err(|e| CtrlFail::Reject(e.to_string())),
-                (Some(dc), UpdateEvent::Announce(p, nh)) => {
-                    dc.announce(p, nh).map(|_| ()).map_err(durable_fail)
-                }
-                (Some(dc), UpdateEvent::Withdraw(p)) => {
-                    dc.withdraw(p).map(|_| ()).map_err(durable_fail)
-                }
-            };
-            match outcome {
-                Ok(()) => {
-                    report.applied += 1;
-                    if record {
-                        report.accepted.push(*ev);
-                        report.generation_events.push(report.applied);
-                    }
-                }
-                Err(CtrlFail::Reject(_)) if tolerate_rejections => report.rejected += 1,
-                Err(CtrlFail::Reject(msg)) | Err(CtrlFail::Fatal(msg)) => {
-                    report.failed = Some(msg);
-                    break;
-                }
-            }
-        }
-        return finish_control(report, shared, durable.as_mut());
-    }
-    'windows: for chunk in updates.chunks(window) {
+    for chunk in updates.chunks(window) {
         if stop.load(Ordering::Acquire) {
             report.halted = true;
             break;
@@ -684,24 +648,17 @@ fn control_main(
                     report.failed = Some(format!(
                         "{rejected} event(s) rejected inside an update window"
                     ));
-                    // The window still published: its accepted residue is
-                    // live state and must be accounted before halting.
+                    // Any accepted residue published: it is live state
+                    // and must be accounted before halting.
                 }
-                report.applied += chunk.len() - rejected;
+                report.applied += batch.accepted();
                 report.rejected += rejected;
-                if record {
-                    let mut next_rejected = batch.rejected_events.iter().copied().peekable();
-                    for (i, ev) in chunk.iter().enumerate() {
-                        if next_rejected.peek() == Some(&i) {
-                            next_rejected.next();
-                        } else {
-                            report.accepted.push(*ev);
-                        }
-                    }
+                if record && batch.accepted() > 0 {
+                    report.accepted.extend(batch.accepted_events(chunk));
                     report.generation_events.push(report.applied);
                 }
                 if report.failed.is_some() {
-                    break 'windows;
+                    break;
                 }
             }
             // A failed window never published (build-then-commit): the

@@ -40,12 +40,12 @@
 //! a no-op that still prints the (zeroed) counter summary and exits 0.
 //!
 //! `replay --batch=N` applies the trace through the batched update
-//! engine in windows of N events: each window coalesces per prefix,
-//! runs its partition re-setups in parallel, and publishes exactly one
-//! snapshot generation; the batch-engine counters (events coalesced,
-//! re-setups saved) are printed after the run. `serve --update-batch=N`
-//! does the same on the live control plane while the shards keep
-//! serving.
+//! engine in windows of N events (default 1): each window coalesces per
+//! prefix, runs its partition re-setups in parallel, and publishes one
+//! snapshot generation, or none if it accepted no event. With N > 1 the
+//! batch-engine counters (events coalesced, re-setups saved) are printed
+//! after the run. `serve --update-batch=N` does the same on the live
+//! control plane while the shards keep serving.
 //!
 //! `serve` runs the saturation scenario of the sharded dataplane daemon
 //! (`chisel::dataplane`): `--shards N` run-to-completion workers, each
@@ -85,8 +85,7 @@ use chisel::dataplane::{signal, Dataplane, DataplaneConfig, RunOptions};
 use chisel::prefix::io::read_table;
 use chisel::prefix::parallel::resolve_threads;
 use chisel::workloads::{
-    adversarial_trace, analyze, flow_pool, read_mrt, synthesize, zipf_stream,
-    PrefixLenDistribution, UpdateEvent,
+    adversarial_trace, analyze, flow_pool, read_mrt, synthesize, zipf_stream, PrefixLenDistribution,
 };
 use chisel::{ChiselConfig, ChiselLpm, Key, RoutingTable};
 
@@ -565,45 +564,25 @@ fn cmd_replay(
         stats.withdraws,
         stats.flap_fraction(),
     );
-    // Apply through the shared handle: every update is published as an
-    // immutable snapshot, exactly as a live line card would consume it.
-    // Under --adversarial, typed rejections (e.g. spillover exhaustion)
-    // are the expected graceful-degradation outcome: count and continue.
+    // Apply through the shared handle in windows of `batch` events, each
+    // published as one immutable snapshot (none if it accepted nothing),
+    // exactly as a live line card would consume it. Under --adversarial,
+    // typed rejections (e.g. spillover exhaustion) are the expected
+    // graceful-degradation outcome: count and continue.
     let shared = SharedChisel::from_engine(engine);
     let start = Instant::now();
     let mut rejected = 0usize;
-    if batch <= 1 {
-        for ev in &events {
-            let outcome = match *ev {
-                UpdateEvent::Announce(p, nh) => shared.announce(p, nh).map(|_| ()),
-                UpdateEvent::Withdraw(p) => shared.withdraw(p).map(|_| ()),
-            };
-            match outcome {
-                Ok(()) => {}
-                Err(e) if adversarial.is_some() => {
-                    rejected += 1;
-                    if rejected <= 5 {
-                        eprintln!("  rejected update: {e}");
-                    }
+    for chunk in events.chunks(batch) {
+        match shared.apply_batch(chunk) {
+            Ok(report) => {
+                let r = report.rejected_events.len();
+                if r > 0 && adversarial.is_none() {
+                    return Err(format!("{r} event(s) rejected inside an update window").into());
                 }
-                Err(e) => return Err(e.into()),
+                rejected += r;
             }
-        }
-    } else {
-        // Windowed replay: each chunk coalesces per prefix, runs its
-        // re-setups in parallel and publishes a single generation.
-        for chunk in events.chunks(batch) {
-            match shared.apply_batch(chunk) {
-                Ok(report) => {
-                    let r = report.rejected_events.len();
-                    if r > 0 && adversarial.is_none() {
-                        return Err(format!("{r} event(s) rejected inside an update window").into());
-                    }
-                    rejected += r;
-                }
-                Err(_) if adversarial.is_some() => rejected += chunk.len(),
-                Err(e) => return Err(e.into()),
-            }
+            Err(_) if adversarial.is_some() => rejected += chunk.len(),
+            Err(e) => return Err(e.into()),
         }
     }
     let elapsed = start.elapsed().as_secs_f64();

@@ -283,7 +283,7 @@ fn serve_with_journal_drains_to_a_recoverable_checkpoint() {
 #[test]
 fn recover_truncates_torn_tails_and_rejects_interior_damage() {
     use chisel::core::journal::{DurableControl, DurableOptions};
-    use chisel::core::SharedChisel;
+    use chisel::core::{RouteUpdate, SharedChisel};
     use chisel::{AddressFamily, ChiselConfig, NextHop, Prefix, RoutingTable};
 
     // Build a crashed-process state in-library: checkpoint plus a
@@ -302,10 +302,10 @@ fn recover_truncates_torn_tails_and_rejects_interior_damage() {
     };
     let mut dc = DurableControl::create(shared, opts).unwrap();
     for i in 0..12u128 {
-        dc.announce(
+        dc.apply_batch(&[RouteUpdate::Announce(
             Prefix::new(AddressFamily::V4, 0x0A00 | i, 16).unwrap(),
             NextHop::new(10 + i as u32),
-        )
+        )])
         .unwrap();
     }
     drop(dc); // crash: journal holds 12 records past the boot checkpoint

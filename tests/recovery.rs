@@ -164,13 +164,10 @@ fn drive(
     let mut dc = DurableControl::create(shared.clone(), opts).unwrap();
     let mut log = Vec::new();
     for ev in trace {
-        let outcome = match *ev {
-            UpdateEvent::Announce(p, nh) => dc.announce(p, nh).map(|_| ()),
-            UpdateEvent::Withdraw(p) => dc.withdraw(p).map(|_| ()),
-        };
-        match outcome {
-            Ok(()) => log.push((dc.shared().generation(), *ev)),
-            Err(DurableError::Engine(_)) => {} // typed rejection: state unchanged
+        match dc.apply_batch(std::slice::from_ref(ev)) {
+            Ok(r) if r.accepted() > 0 => log.push((dc.shared().generation(), *ev)),
+            // Typed rejection: state unchanged.
+            Ok(_) | Err(DurableError::Engine(_)) => {}
             Err(DurableError::Journal(e)) => panic!("unexpected durability failure: {e}"),
         }
     }
@@ -261,14 +258,7 @@ fn batched_windows_journal_one_record_per_generation() {
     for chunk in trace.chunks(16) {
         let report = dc.apply_batch(chunk).unwrap();
         let generation = dc.shared().generation();
-        let mut rejected = report.rejected_events.iter().copied().peekable();
-        for (i, ev) in chunk.iter().enumerate() {
-            if rejected.peek() == Some(&i) {
-                rejected.next();
-            } else {
-                log.push((generation, *ev));
-            }
-        }
+        log.extend(report.accepted_events(chunk).map(|ev| (generation, *ev)));
     }
     let expected = dc.durable_generation();
     assert_eq!(
@@ -367,13 +357,9 @@ mod kill_matrix {
         let _guard = arm(plan);
         let mut log = Vec::new();
         for ev in trace {
-            let outcome = match *ev {
-                UpdateEvent::Announce(p, nh) => dc.announce(p, nh).map(|_| ()),
-                UpdateEvent::Withdraw(p) => dc.withdraw(p).map(|_| ()),
-            };
-            match outcome {
-                Ok(()) => log.push((dc.shared().generation(), *ev)),
-                Err(DurableError::Engine(_)) => {}
+            match dc.apply_batch(std::slice::from_ref(ev)) {
+                Ok(r) if r.accepted() > 0 => log.push((dc.shared().generation(), *ev)),
+                Ok(_) | Err(DurableError::Engine(_)) => {}
                 Err(DurableError::Journal(JournalError::Fault { .. })) => {
                     // The injected crash. Everything at or below the
                     // durable generation survives; the torn tail (if
