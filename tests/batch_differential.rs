@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use chisel::core::{verify_image, BatchPlan, RouteUpdate, SharedChisel};
 use chisel::prefix::bits::mask;
 use chisel::workloads::{
-    generate_trace, rrc_profiles, synthesize, PrefixLenDistribution, UpdateEvent,
+    generate_trace, resetup_storm_profile, rrc_profiles, synthesize, PrefixLenDistribution,
+    UpdateEvent,
 };
 use chisel::{AddressFamily, ChiselConfig, ChiselLpm, Key, NextHop, Prefix, RoutingTable};
 use chisel_prefix::oracle::OracleLpm;
@@ -152,6 +153,49 @@ fn coalescing_fires_on_rrc_flap_profiles() {
             "{}: engine counter disagrees with the planner",
             profile.name
         );
+    }
+}
+
+/// Re-setup sharing: an add-new-heavy trace against a two-partition,
+/// high-slack config pools many new-key inserts of one window into
+/// shared partition rebuilds, and the engine still answers like the
+/// oracle replaying only the accepted events.
+#[test]
+fn resetup_storm_shares_rebuilds_at_window_64() {
+    let table = synthesize(5_000, &PrefixLenDistribution::bgp_ipv4(), 0x5702);
+    let trace = generate_trace(&table, 8_000, &resetup_storm_profile());
+    let config = ChiselConfig::ipv4().partitions(2).slack(4.0);
+    let mut e = ChiselLpm::build(&table, config).unwrap();
+    let mut oracle = OracleLpm::from_table(&table);
+    for window in trace.chunks(64) {
+        let report = e.apply_batch(window).expect("apply_batch");
+        for ev in report.accepted_events(window) {
+            match *ev {
+                UpdateEvent::Announce(p, nh) => oracle.insert(p, nh),
+                UpdateEvent::Withdraw(p) => {
+                    oracle.remove(&p);
+                }
+            }
+        }
+    }
+    assert!(
+        e.batch_stats().resetups_saved > 0,
+        "storm shared no re-setups: {:?}",
+        e.batch_stats()
+    );
+    assert_verified(&e);
+    // Random probes over the base table, plus the network address of
+    // every route the storm left behind (most of them new).
+    let mut rng = StdRng::seed_from_u64(0x5703);
+    let routes: Vec<Key> = e
+        .iter_routes()
+        .map(|r| Key::from_raw(AddressFamily::V4, r.prefix.network()))
+        .collect();
+    for key in probe_keys(&mut rng, &table, 2_000)
+        .into_iter()
+        .chain(routes)
+    {
+        assert_eq!(e.lookup(key), oracle.lookup(key), "at {key}");
     }
 }
 

@@ -13,6 +13,11 @@
 //!   (`tests/concurrent.rs`, `tests/dataplane.rs`). Needs a nightly
 //!   toolchain with `rust-src` (`-Zbuild-std` instruments `std` too);
 //!   exits 3 with a message when nightly is unavailable.
+//! - `bench [args…]` — the repo's one benchmark (`benchmark/`). Bare, it
+//!   runs the CI smoke `benchmark/smoke.sh`: every workload, the
+//!   correctness gate and the `BENCHMARK.json` manifest check. With
+//!   arguments it runs `chisel-benchmark <args…>` instead, e.g.
+//!   `cargo xtask bench run fwd_hot --seconds 10`.
 
 #![forbid(unsafe_code)]
 
@@ -30,7 +35,7 @@ fn workspace_root() -> PathBuf {
     PathBuf::from(".")
 }
 
-const USAGE: &str = "usage: cargo xtask <analyze [--json] | loom | sanitize>";
+const USAGE: &str = "usage: cargo xtask <analyze [--json] | loom | sanitize | bench [args...]>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,6 +43,7 @@ fn main() -> ExitCode {
         Some("analyze") => analyze(args.iter().any(|a| a == "--json")),
         Some("loom") => loom(),
         Some("sanitize") => sanitize(),
+        Some("bench") => bench(&args[1..]),
         Some(other) => {
             eprintln!("unknown task `{other}`");
             eprintln!("{USAGE}");
@@ -88,16 +94,16 @@ fn rustflags_with(extra: &str) -> String {
     }
 }
 
-/// Runs one `cargo` invocation in the workspace root, echoing it first;
+/// Runs `program` in the workspace root, echoing it to stderr first;
 /// `Ok(())` iff it ran and exited 0.
-fn run_step(args: &[&str], env: &[(&str, &str)]) -> Result<(), ExitCode> {
+fn run_step(program: &str, args: &[&str], env: &[(&str, &str)]) -> Result<(), ExitCode> {
     let pretty: Vec<String> = env
         .iter()
         .map(|(k, v)| format!("{k}=\"{v}\""))
-        .chain(std::iter::once(format!("cargo {}", args.join(" "))))
+        .chain(std::iter::once(format!("{program} {}", args.join(" "))))
         .collect();
-    println!("xtask: {}", pretty.join(" "));
-    let mut cmd = Command::new("cargo");
+    eprintln!("xtask: {}", pretty.join(" "));
+    let mut cmd = Command::new(program);
     cmd.current_dir(workspace_root()).args(args);
     for (k, v) in env {
         cmd.env(k, v);
@@ -109,9 +115,33 @@ fn run_step(args: &[&str], env: &[(&str, &str)]) -> Result<(), ExitCode> {
             Err(ExitCode::FAILURE)
         }
         Err(e) => {
-            eprintln!("xtask: could not spawn cargo: {e}");
+            eprintln!("xtask: could not spawn {program}: {e}");
             Err(ExitCode::from(2))
         }
+    }
+}
+
+/// `benchmark/smoke.sh` when `args` is empty, else `chisel-benchmark
+/// <args…>` built from the benchmark's own workspace.
+fn bench(args: &[String]) -> ExitCode {
+    let step = if args.is_empty() {
+        run_step("benchmark/smoke.sh", &[], &[])
+    } else {
+        let mut cargo = vec![
+            "run",
+            "--release",
+            "--offline",
+            "--quiet",
+            "--manifest-path",
+            "benchmark/Cargo.toml",
+            "--",
+        ];
+        cargo.extend(args.iter().map(String::as_str));
+        run_step("cargo", &cargo, &[])
+    };
+    match step {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
 }
 
@@ -143,7 +173,7 @@ fn loom() -> ExitCode {
         ],
     ];
     for step in steps {
-        if let Err(code) = run_step(step, env) {
+        if let Err(code) = run_step("cargo", step, env) {
             return code;
         }
     }
@@ -192,7 +222,7 @@ fn sanitize() -> ExitCode {
         "--test",
         "dataplane",
     ];
-    if let Err(code) = run_step(step, env) {
+    if let Err(code) = run_step("cargo", step, env) {
         return code;
     }
     println!("xtask sanitize: ThreadSanitizer found no data races");
