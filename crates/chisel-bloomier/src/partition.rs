@@ -448,7 +448,8 @@ impl PartitionedBloomier {
     }
 
     /// [`PartitionedBloomier::prefetch`] from an already-computed digest.
-    #[inline]
+    // Forced: the engine's batch kernel otherwise makes a call per key.
+    #[inline(always)]
     pub fn prefetch_digest(&self, d: KeyDigest) {
         self.parts[self.partition_of_digest(d)].prefetch_digest(d);
     }

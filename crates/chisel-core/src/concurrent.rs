@@ -323,29 +323,10 @@ impl CachedReader {
         snap.generation()
     }
 
-    /// [`lookup_batch_pinned`](CachedReader::lookup_batch_pinned) with an
-    /// explicit lane depth for the miss sweep — the dataplane's
-    /// [`ChiselLpm::lookup_batch_lanes`] knob, exposed per batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` and `out` differ in length.
-    pub fn lookup_batch_pinned_lanes(
-        &mut self,
-        keys: &[Key],
-        out: &mut [Option<NextHop>],
-        lanes: usize,
-    ) -> u64 {
-        let snap = self.shared.inner.cell.load();
-        self.cache
-            .lookup_batch_lanes(snap.engine(), keys, out, lanes);
-        snap.generation()
-    }
-
     /// Like [`lookup_batch_pinned`](CachedReader::lookup_batch_pinned),
     /// accumulating per-table read counts (including `degraded_hits`)
-    /// into `trace`. Misses walk the scalar traced data path — a
-    /// diagnostic mode, not the throughput path.
+    /// into `trace` through [`FlowCache::lookup_batch_traced`]: the same
+    /// batch kernel, counting as it goes.
     ///
     /// # Panics
     ///

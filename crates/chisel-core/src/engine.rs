@@ -15,10 +15,16 @@ use crate::faultpoint;
 use crate::shadow::GroupShadow;
 use crate::stats::{DegradedMode, EngineStats, LookupTrace, RecoveryStats, StorageBreakdown};
 use crate::subcell::{
-    AnnounceOutcome, BatchStep, CellParams, PartitionResetupPlan, PreparedKey, SubCell,
+    AnnounceOutcome, BatchStep, CellParams, PartitionResetupPlan, PreparedKey, ProbeCounter,
+    SubCell,
 };
 use crate::update::{BatchStats, RecentWithdrawals, UpdateKind, UpdateStats};
 use crate::{ChiselConfig, ChiselError};
+
+/// Keys in flight per batch-kernel lane: with d-partitioned cells a lane
+/// needs several keys *per partition* to fill the 4-wide gather groups of
+/// the vectorized Index Table probe.
+pub(crate) const LANES: usize = 64;
 
 /// The Chisel longest-prefix-matching engine.
 ///
@@ -220,16 +226,23 @@ impl ChiselLpm {
     /// match wins — the results are identical because cell length ranges
     /// are disjoint.
     pub fn lookup(&self, key: Key) -> Option<NextHop> {
-        let mut trace = LookupTrace::default();
-        self.lookup_traced(key, &mut trace)
+        self.walk(key, &mut ())
     }
 
-    /// Lookup with memory-access tracing (for the latency experiments).
+    /// [`ChiselLpm::lookup`], accumulating the lookup's table accesses
+    /// into `trace` (for the latency experiments).
     ///
     /// # Panics
     ///
     /// Panics (debug builds) if the key family differs from the engine's.
     pub fn lookup_traced(&self, key: Key, trace: &mut LookupTrace) -> Option<NextHop> {
+        self.walk(key, trace)
+    }
+
+    /// The kernel's stage methods for one key, without the lane arrays a
+    /// scalar lookup would pay for on every cell.
+    #[inline]
+    fn walk<C: ProbeCounter>(&self, key: Key, counter: &mut C) -> Option<NextHop> {
         debug_assert_eq!(key.family(), self.config.family);
         for cell in self.cells.iter().rev() {
             // Only live groups can match: branch past drained cells
@@ -237,8 +250,12 @@ impl ChiselLpm {
             if cell.is_empty() {
                 continue;
             }
-            if let Some(nh) = cell.lookup(key.value(), trace) {
-                return Some(nh);
+            let prepared = cell.prepare(key.value());
+            let slot = cell.probe_slot(&prepared);
+            let hop = cell.lookup_at(slot, &prepared);
+            counter.probe(cell, &prepared, slot, hop);
+            if hop.is_some() {
+                return hop;
             }
         }
         self.default_route
@@ -248,7 +265,7 @@ impl ChiselLpm {
     ///
     /// Produces exactly what per-key [`ChiselLpm::lookup`] would (the
     /// property suite asserts this), but restructures the memory accesses
-    /// for throughput: keys are processed in small lanes, and within each
+    /// for throughput: keys are processed in lanes of 64, and within each
     /// lane every dependent table read (Index → Filter/Bit-vector →
     /// Result) is prefetched for all keys before any of them is consumed.
     /// This hides DRAM latency behind the independent probes of the other
@@ -261,26 +278,33 @@ impl ChiselLpm {
     /// Panics if `keys` and `out` differ in length, or (debug builds) on
     /// a key-family mismatch.
     pub fn lookup_batch(&self, keys: &[Key], out: &mut [Option<NextHop>]) {
-        // Full-depth lanes: with d-partitioned cells a wave needs several
-        // keys *per partition* to fill 4-wide gather groups, and the
-        // lane-depth sweep in `chisel-bench` measures 64 fastest on both
-        // uniform and Zipf streams; `lookup_batch_lanes` exposes the knob.
-        self.lookup_batch_lanes(keys, out, 64);
+        self.lookup_lanes(keys, out, &mut ());
     }
 
-    /// [`ChiselLpm::lookup_batch`] with an explicit lane depth.
-    ///
-    /// `lanes` is the number of keys in flight at once (clamped to
-    /// `1..=64`); deeper lanes hide more DRAM latency per prefetch wave
-    /// and give the vectorized Index Table probe more lanes per gather,
-    /// at the cost of more prefetched lines resident at once. The
-    /// access-budget sweep in `chisel-bench` measures this trade-off.
+    /// [`ChiselLpm::lookup_batch`], accumulating every key's table
+    /// accesses into `trace`: the same kernel, counting as it goes, so the
+    /// trace equals the sum of per-key [`ChiselLpm::lookup_traced`] traces.
     ///
     /// # Panics
     ///
     /// Panics if `keys` and `out` differ in length, or (debug builds) on
     /// a key-family mismatch.
-    pub fn lookup_batch_lanes(&self, keys: &[Key], out: &mut [Option<NextHop>], lanes: usize) {
+    pub fn lookup_batch_traced(
+        &self,
+        keys: &[Key],
+        out: &mut [Option<NextHop>],
+        trace: &mut LookupTrace,
+    ) {
+        self.lookup_lanes(keys, out, trace);
+    }
+
+    /// The batch kernel, generic over whether it counts.
+    pub(crate) fn lookup_lanes<C: ProbeCounter>(
+        &self,
+        keys: &[Key],
+        out: &mut [Option<NextHop>],
+        counter: &mut C,
+    ) {
         // ASSERT-OK: documented `# Panics` contract, checked once per
         // batch, amortized over every key.
         assert_eq!(
@@ -288,10 +312,8 @@ impl ChiselLpm {
             out.len(),
             "lookup_batch requires matching key/output slices"
         );
-        const MAX_LANES: usize = 64;
-        let lanes = lanes.clamp(1, MAX_LANES);
-        for (kc, oc) in keys.chunks(lanes).zip(out.chunks_mut(lanes)) {
-            let mut done = [false; MAX_LANES];
+        for (kc, oc) in keys.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            let mut done = [false; LANES];
             // Cells are probed longest-base first, exactly like the
             // scalar path; a key leaves the lane at its first match.
             for cell in self.cells.iter().rev() {
@@ -303,8 +325,8 @@ impl ChiselLpm {
                 // probes. Live lanes are compacted to the front so the
                 // batched slot resolver sees a dense digest array; the
                 // prepared digest is reused by every later stage.
-                let mut prep = [PreparedKey::default(); MAX_LANES];
-                let mut lane_of = [0usize; MAX_LANES];
+                let mut prep = [PreparedKey::default(); LANES];
+                let mut lane_of = [0usize; LANES];
                 let mut live = 0usize;
                 for (i, key) in kc.iter().enumerate() {
                     if !done[i] {
@@ -318,15 +340,17 @@ impl ChiselLpm {
                 // Stage 2: resolve every live slot in one call (AVX2
                 // gather lanes when available, scalar otherwise); prefetch
                 // the Filter/Bit-vector rows they name.
-                let mut slots = [0u32; MAX_LANES];
+                let mut slots = [0u32; LANES];
                 cell.probe_slots(&prep[..live], &mut slots[..live]);
                 for &slot in &slots[..live] {
                     cell.prefetch_row(slot);
                 }
                 // Stage 3: validate and read out the next hops.
                 for j in 0..live {
-                    if let Some(nh) = cell.lookup_at(slots[j], &prep[j]) {
-                        oc[lane_of[j]] = Some(nh);
+                    let hop = cell.lookup_at(slots[j], &prep[j]);
+                    counter.probe(cell, &prep[j], slots[j], hop);
+                    if hop.is_some() {
+                        oc[lane_of[j]] = hop;
                         done[lane_of[j]] = true;
                     }
                 }

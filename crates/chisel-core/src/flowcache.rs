@@ -26,6 +26,7 @@ use chisel_hash::{MixHasher, SplitMix64};
 use chisel_prefix::{Key, NextHop};
 
 use crate::stats::LookupTrace;
+use crate::subcell::ProbeCounter;
 use crate::ChiselLpm;
 
 /// Seed of the fixed slot-index hash. The cache is a performance layer,
@@ -163,34 +164,6 @@ impl FlowCache {
         hop
     }
 
-    /// Like [`lookup`](FlowCache::lookup), accumulating into `trace`: a
-    /// hit adds one `cache_hits` and zero table reads; a miss adds one
-    /// `cache_misses` plus whatever the data path reads.
-    pub fn lookup_traced(
-        &mut self,
-        engine: &ChiselLpm,
-        key: Key,
-        trace: &mut LookupTrace,
-    ) -> Option<NextHop> {
-        let stamp = engine.version().wrapping_add(1);
-        let idx = self.slot_index(key.value());
-        let slot = self.slots[idx];
-        if slot.stamp == stamp && slot.key == key.value() {
-            self.hits += 1;
-            trace.cache_hits += 1;
-            return slot.hop;
-        }
-        self.misses += 1;
-        trace.cache_misses += 1;
-        let hop = engine.lookup_traced(key, trace);
-        self.slots[idx] = Slot {
-            stamp,
-            key: key.value(),
-            hop,
-        };
-        hop
-    }
-
     /// Cached batch lookup: hits are answered in a first pass, the
     /// missing lanes are funneled through [`ChiselLpm::lookup_batch`] in
     /// one software-pipelined sweep, and their answers back-fill both
@@ -201,22 +174,39 @@ impl FlowCache {
     ///
     /// Panics if `keys` and `out` differ in length.
     pub fn lookup_batch(&mut self, engine: &ChiselLpm, keys: &[Key], out: &mut [Option<NextHop>]) {
-        self.lookup_batch_lanes(engine, keys, out, 64);
+        self.answer(engine, keys, out, &mut ());
     }
 
-    /// [`FlowCache::lookup_batch`] with an explicit lane depth for the
-    /// miss sweep (see [`ChiselLpm::lookup_batch_lanes`]).
+    /// [`lookup_batch`](FlowCache::lookup_batch), accumulating into
+    /// `trace`: each hit adds one `cache_hits` and no table reads, each
+    /// miss one `cache_misses`, and the miss sweep runs
+    /// [`ChiselLpm::lookup_batch_traced`] — the same kernel, so answers,
+    /// fills and hit counts are those of the untraced batch.
     ///
     /// # Panics
     ///
     /// Panics if `keys` and `out` differ in length.
-    pub fn lookup_batch_lanes(
+    pub fn lookup_batch_traced(
         &mut self,
         engine: &ChiselLpm,
         keys: &[Key],
         out: &mut [Option<NextHop>],
-        lanes: usize,
+        trace: &mut LookupTrace,
     ) {
+        let misses = self.answer(engine, keys, out, trace);
+        trace.cache_hits += keys.len() - misses;
+        trace.cache_misses += misses;
+    }
+
+    /// The batch front behind both public batch lookups; returns how many
+    /// keys missed.
+    fn answer<C: ProbeCounter>(
+        &mut self,
+        engine: &ChiselLpm,
+        keys: &[Key],
+        out: &mut [Option<NextHop>],
+        counter: &mut C,
+    ) -> usize {
         // ASSERT-OK: documented `# Panics` contract, checked once per
         // batch, amortized over every key.
         assert_eq!(
@@ -239,11 +229,11 @@ impl FlowCache {
             }
         }
         if self.miss_keys.is_empty() {
-            return;
+            return 0;
         }
         self.miss_out.clear();
         self.miss_out.resize(self.miss_keys.len(), None);
-        engine.lookup_batch_lanes(&self.miss_keys, &mut self.miss_out, lanes);
+        engine.lookup_lanes(&self.miss_keys, &mut self.miss_out, counter);
         for j in 0..self.miss_keys.len() {
             let key = self.miss_keys[j];
             let hop = self.miss_out[j];
@@ -255,34 +245,7 @@ impl FlowCache {
                 hop,
             };
         }
-    }
-
-    /// Like [`lookup_batch`](FlowCache::lookup_batch), accumulating into
-    /// `trace`. Answers are identical to the untraced batch; the missing
-    /// lanes walk the scalar traced data path so the per-table read
-    /// counts (including `degraded_hits`) are exact — use the untraced
-    /// batch when measuring throughput.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` and `out` differ in length.
-    pub fn lookup_batch_traced(
-        &mut self,
-        engine: &ChiselLpm,
-        keys: &[Key],
-        out: &mut [Option<NextHop>],
-        trace: &mut LookupTrace,
-    ) {
-        // ASSERT-OK: documented `# Panics` contract, checked once per
-        // batch, amortized over every key.
-        assert_eq!(
-            keys.len(),
-            out.len(),
-            "lookup_batch_traced: keys and out must have equal length"
-        );
-        for (key, slot) in keys.iter().zip(out.iter_mut()) {
-            *slot = self.lookup_traced(engine, *key, trace);
-        }
+        self.miss_keys.len()
     }
 }
 
@@ -346,13 +309,15 @@ mod tests {
     fn traced_hits_skip_table_reads() {
         let e = engine();
         let mut c = FlowCache::new(64);
-        let k = key(0x0A01_0203);
+        let k = [key(0x0A01_0203)];
+        let mut out = [None];
         let mut t = LookupTrace::default();
-        c.lookup_traced(&e, k, &mut t);
+        c.lookup_batch_traced(&e, &k, &mut out, &mut t);
         assert_eq!((t.cache_hits, t.cache_misses), (0, 1));
         assert!(t.total_reads() > 0);
         let reads_after_miss = t.total_reads();
-        c.lookup_traced(&e, k, &mut t);
+        c.lookup_batch_traced(&e, &k, &mut out, &mut t);
+        assert_eq!(out, [Some(NextHop::new(2))]);
         assert_eq!((t.cache_hits, t.cache_misses), (1, 1));
         assert_eq!(
             t.total_reads(),
@@ -401,12 +366,15 @@ mod tests {
             2 * keys.len(),
             "every lane must be accounted as a hit or a miss"
         );
-        // Counters stay coherent with the cache's own totals. (Exact
-        // hit counts may differ from the untraced batch: the scalar
-        // fill order resolves same-slot collisions within one batch.)
+        // Counters stay coherent with the cache's own totals, and the
+        // traced cache runs the production path: same hits, same misses.
         assert_eq!(
             (t.cache_hits as u64, t.cache_misses as u64),
             (traced.hits(), traced.misses())
+        );
+        assert_eq!(
+            (traced.hits(), traced.misses()),
+            (plain.hits(), plain.misses())
         );
     }
 

@@ -18,6 +18,7 @@ use chisel_prefix::NextHop;
 
 use crate::bitvector::LeafVector;
 use crate::cow::CowTable;
+use crate::engine::LANES;
 use crate::faultpoint;
 use crate::result_table::{Block, ResultTable};
 use crate::shadow::GroupShadow;
@@ -51,6 +52,45 @@ pub(crate) struct PreparedKey {
     collapsed: u128,
     digest: KeyDigest,
     leaf: usize,
+}
+
+/// What a lookup walk does after stage 3 of each sub-cell probe: nothing
+/// (`()`, which compiles away) or count the probe's table accesses into a
+/// [`LookupTrace`]. Crate-private, so these are its only two impls.
+pub(crate) trait ProbeCounter {
+    fn probe(&mut self, cell: &SubCell, p: &PreparedKey, slot: u32, hop: Option<NextHop>);
+}
+
+impl ProbeCounter for () {
+    #[inline(always)]
+    fn probe(&mut self, _: &SubCell, _: &PreparedKey, _: u32, _: Option<NextHop>) {}
+}
+
+impl ProbeCounter for LookupTrace {
+    /// Re-asks the TCAM (and the degraded set) where stage 2 resolved the
+    /// slot: only a counting walk pays for that.
+    #[inline]
+    fn probe(&mut self, cell: &SubCell, p: &PreparedKey, slot: u32, hop: Option<NextHop>) {
+        // Hardware reads the k index segments in parallel: one access.
+        self.index_reads += 1;
+        if cell.spill_slot(p.collapsed).is_some() {
+            self.spill_hits += 1;
+            if cell.degraded.binary_search(&p.collapsed).is_ok() {
+                self.degraded_hits += 1;
+            }
+        } else {
+            self.cache_lines_touched += cell.index_probe_lines();
+        }
+        if (slot as usize) < cell.filter.len() {
+            self.filter_reads += 1;
+            self.bitvec_reads += 1; // read in parallel with the filter check
+            self.cache_lines_touched += 2; // one line each: filter row, bit-vector row
+        }
+        if hop.is_some() {
+            self.result_reads += 1;
+            self.cache_lines_touched += 1;
+        }
+    }
 }
 
 /// Geometry and hashing parameters a sub-cell is built with.
@@ -449,41 +489,6 @@ impl SubCell {
         }
     }
 
-    /// Full data-path lookup for a key, tracing memory accesses.
-    pub fn lookup(&self, key_value: u128, trace: &mut LookupTrace) -> Option<NextHop> {
-        let collapsed = self.collapse_key(key_value);
-        // Hardware reads the k index segments in parallel: one access.
-        trace.index_reads += 1;
-        let slot = if let Some(s) = self.spill_slot(collapsed) {
-            trace.spill_hits += 1;
-            if self.degraded.binary_search(&collapsed).is_ok() {
-                trace.degraded_hits += 1;
-            }
-            s
-        } else {
-            trace.cache_lines_touched += self.index_probe_lines();
-            self.index.lookup(collapsed)
-        };
-        let entry = self.filter.get(slot as usize)?;
-        trace.filter_reads += 1;
-        trace.bitvec_reads += 1; // read in parallel with the filter check
-        trace.cache_lines_touched += 2; // one line each: filter row, bit-vector row
-        if !entry.valid || entry.dirty || entry.key != collapsed {
-            return None; // no match or false positive filtered out
-        }
-        let bv = &self.bitvec[slot as usize];
-        let leaf = self.leaf_of(key_value);
-        if !bv.vector.get(leaf) {
-            return None;
-        }
-        let rank = bv.vector.rank(leaf);
-        debug_assert!(bv.block.is_some(), "set leaf implies allocated block");
-        let block = bv.block?;
-        trace.result_reads += 1;
-        trace.cache_lines_touched += 1;
-        Some(self.result.read(block, rank - 1))
-    }
-
     /// Stage 1 of the pipelined batch lookup: prefetch the Index Table
     /// locations of this key's hash neighborhood.
     #[inline]
@@ -509,17 +514,10 @@ impl SubCell {
     /// probes go through the partition-bucketed SIMD batch kernel
     /// ([`PartitionedBloomier::lookup_digest_batch`]); spillover-TCAM hits
     /// then override their lanes, preserving the TCAM-before-Index search
-    /// order of [`SubCell::probe_slot`] exactly.
+    /// order of [`SubCell::probe_slot`] exactly. At most one lane of keys.
     pub fn probe_slots(&self, prepared: &[PreparedKey], slots: &mut [u32]) {
         debug_assert_eq!(prepared.len(), slots.len());
-        const MAX: usize = 64;
-        if prepared.len() > MAX {
-            for (s, p) in slots.iter_mut().zip(prepared) {
-                *s = self.probe_slot(p);
-            }
-            return;
-        }
-        let mut digests = [KeyDigest::default(); MAX];
+        let mut digests = [KeyDigest::default(); LANES];
         for (d, p) in digests.iter_mut().zip(prepared) {
             *d = p.digest;
         }
@@ -545,9 +543,11 @@ impl SubCell {
         }
     }
 
-    /// Stage 3 of the pipelined batch lookup: the validate-and-read tail
-    /// of [`SubCell::lookup`] for an already-resolved candidate slot.
-    #[inline]
+    /// Stage 3 of every lookup walk: validate an already-resolved
+    /// candidate slot against the Filter Table and read the next hop
+    /// through the Bit-vector and Result Tables.
+    // Forced: with two callers, plain `#[inline]` leaves a call per probe.
+    #[inline(always)]
     pub fn lookup_at(&self, slot: u32, p: &PreparedKey) -> Option<NextHop> {
         let entry = self.filter.get(slot as usize)?;
         if !entry.valid || entry.dirty || entry.key != p.collapsed {

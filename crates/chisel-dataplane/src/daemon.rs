@@ -56,11 +56,6 @@ pub struct DataplaneConfig {
     /// Bounded queue depth per shard, in batches (dispatcher
     /// backpressure).
     pub queue_depth: usize,
-    /// Keys in flight per software-pipeline wave inside a shard's miss
-    /// sweep (see `ChiselLpm::lookup_batch_lanes`); deeper lanes hide
-    /// more memory latency and feed the vectorized Index Table probe
-    /// more work per gather.
-    pub lane_depth: usize,
     /// Control-plane update batching window, in events. The trace is
     /// fed through [`SharedChisel::apply_batch`] in windows of this size
     /// (default 1: one event per window), so each window coalesces, runs
@@ -83,7 +78,6 @@ impl Default for DataplaneConfig {
             batch: 64,
             cache_slots: FlowCache::DEFAULT_CAPACITY,
             queue_depth: 64,
-            lane_depth: 64,
             update_batch: 1,
             supervise: true,
         }
@@ -107,8 +101,9 @@ pub struct RunOptions {
     /// oracle. Test-sized runs only.
     pub record: bool,
     /// Accumulate a per-shard [`LookupTrace`] (table reads,
-    /// `degraded_hits`). Misses walk the scalar traced path, so leave
-    /// this off when measuring throughput.
+    /// `degraded_hits`). Shards answer through the same batch kernel as
+    /// an untraced run, counting as it goes, so answers and cache
+    /// hits/misses are those of the untraced run.
     pub traced: bool,
     /// Journal + checkpoint the control plane's updates through a
     /// [`DurableControl`] (see `chisel_core::journal`): an initial
@@ -308,20 +303,10 @@ impl Dataplane {
                 let reader = self.shared.reader_with_capacity(self.config.cache_slots);
                 let record = opts.record;
                 let traced = opts.traced;
-                let lanes = self.config.lane_depth;
                 let supervise = self.config.supervise;
                 let cache_slots = self.config.cache_slots;
                 shard_handles.push(scope.spawn(move || {
-                    shard_main(
-                        shard,
-                        reader,
-                        rx,
-                        record,
-                        traced,
-                        lanes,
-                        supervise,
-                        cache_slots,
-                    )
+                    shard_main(shard, reader, rx, record, traced, supervise, cache_slots)
                 }));
             }
             let control_handle = (!opts.updates.is_empty() || opts.durable.is_some()).then(|| {
@@ -460,7 +445,6 @@ fn answer_batch(
     out: &mut Vec<Option<NextHop>>,
     trace: &mut LookupTrace,
     traced: bool,
-    lanes: usize,
 ) -> u64 {
     if faultpoint::fire(faultpoint::SHARD_PANIC) {
         // PANIC-OK: this is the injected worker crash itself (test
@@ -472,7 +456,7 @@ fn answer_batch(
     if traced {
         reader.lookup_batch_traced(batch, out, trace)
     } else {
-        reader.lookup_batch_pinned_lanes(batch, out, lanes)
+        reader.lookup_batch_pinned(batch, out)
     }
 }
 
@@ -487,14 +471,12 @@ fn answer_batch(
 /// `dropped_batches`/`dropped_keys` accounting; the shard then keeps
 /// serving its queue. Unsupervised, the panic propagates and kills the
 /// thread (reported as a non-respawned [`ShardFailure`] at join).
-#[allow(clippy::too_many_arguments)]
 fn shard_main(
     shard: usize,
     mut reader: CachedReader,
     rx: Receiver<Vec<Key>>,
     record: bool,
     traced: bool,
-    lanes: usize,
     supervise: bool,
     cache_slots: usize,
 ) -> (ShardStats, Vec<BatchRecord>, Vec<ShardFailure>) {
@@ -515,7 +497,6 @@ fn shard_main(
                     &mut out,
                     &mut trace,
                     traced,
-                    lanes,
                 ));
                 break;
             }
@@ -525,7 +506,7 @@ fn shard_main(
             let trace_mark = trace;
             let cache_mark = (reader.cache().hits(), reader.cache().misses());
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                answer_batch(&mut reader, &batch, &mut out, &mut trace, traced, lanes)
+                answer_batch(&mut reader, &batch, &mut out, &mut trace, traced)
             }));
             match outcome {
                 Ok(g) => {
@@ -960,49 +941,6 @@ mod tests {
                 .filter(|a| a.is_some())
                 .count() as u64;
             assert_eq!(matched, sh.matched);
-        }
-    }
-
-    #[test]
-    fn lane_depth_does_not_change_answers() {
-        // One shard keeps dispatch order deterministic, so recorded
-        // batches are directly comparable across lane depths — any
-        // divergence in the lanes/SIMD path shows up as a mismatch here.
-        let s = shared();
-        let stream = keys(2_000);
-        let baseline = Dataplane::new(
-            s.clone(),
-            DataplaneConfig {
-                lane_depth: 1,
-                ..DataplaneConfig::default()
-            },
-        )
-        .run(
-            &stream,
-            &RunOptions {
-                record: true,
-                ..RunOptions::default()
-            },
-        );
-        for lane_depth in [4usize, 16, 64] {
-            let report = Dataplane::new(
-                s.clone(),
-                DataplaneConfig {
-                    lane_depth,
-                    ..DataplaneConfig::default()
-                },
-            )
-            .run(
-                &stream,
-                &RunOptions {
-                    record: true,
-                    ..RunOptions::default()
-                },
-            );
-            for (b, r) in baseline.records[0].iter().zip(&report.records[0]) {
-                assert_eq!(b.keys, r.keys);
-                assert_eq!(b.answers, r.answers, "lane depth {lane_depth} diverged");
-            }
         }
     }
 

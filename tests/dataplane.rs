@@ -326,3 +326,59 @@ fn flows_stick_to_their_shard() {
         report.per_shard
     );
 }
+
+/// Tracing rides the production path: with no updates, a traced and an
+/// untraced run over one stream give every shard the same batches, so
+/// they must report the same answers and the same flow-cache hits and
+/// misses. Only the traced run carries table reads.
+#[test]
+fn traced_run_answers_and_caches_like_untraced() {
+    let table = synthesize(2_000, &PrefixLenDistribution::bgp_ipv4(), 0x7AC3);
+    let pool = flow_pool(&table, 1 << 12, 0x7AC4);
+    let stream = uniform_stream(&pool, 6_000, 0x7AC5);
+    let shared = SharedChisel::build(&table, ChiselConfig::ipv4()).expect("engine builds");
+    let dataplane = Dataplane::new(
+        shared,
+        DataplaneConfig {
+            shards: 2,
+            // A small cache keeps both hits and same-slot evictions in play.
+            cache_slots: 256,
+            ..DataplaneConfig::default()
+        },
+    );
+    let run = |traced: bool| {
+        dataplane.run(
+            &stream,
+            &RunOptions {
+                record: true,
+                traced,
+                ..RunOptions::default()
+            },
+        )
+    };
+    let (plain, traced) = (run(false), run(true));
+    for (p, t) in plain.per_shard.iter().zip(&traced.per_shard) {
+        assert_eq!(
+            (p.lookups, p.cache_hits, p.cache_misses),
+            (t.lookups, t.cache_hits, t.cache_misses),
+            "shard {}",
+            p.shard
+        );
+        assert_eq!(p.trace, Default::default(), "untraced shard {}", p.shard);
+        let traced_counts = (t.trace.cache_hits as u64, t.trace.cache_misses as u64);
+        assert_eq!(
+            traced_counts,
+            (t.cache_hits, t.cache_misses),
+            "shard {}",
+            t.shard
+        );
+        assert!(t.cache_hits > 0 && t.trace.index_reads > 0, "{t:?}");
+    }
+    for (p, t) in plain.records.iter().zip(&traced.records) {
+        assert_eq!(p.len(), t.len());
+        for (pb, tb) in p.iter().zip(t) {
+            assert_eq!(pb.keys, tb.keys);
+            assert_eq!(pb.answers, tb.answers);
+        }
+    }
+}

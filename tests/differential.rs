@@ -127,18 +127,23 @@ fn chisel_agrees_across_seeds() {
 /// zipf-skewed streams, both address families, before and after an
 /// update storm, compared lane-for-lane against the scalar per-key
 /// path on both the blocked (default) and flat Index Table layouts.
-/// With the `simd` feature on (the default) the batch side exercises
-/// the AVX2 gather lanes wherever the host supports them; built with
-/// `--no-default-features` the same test pins the scalar fallback —
-/// CI runs both, so a divergence in either path fails the suite.
+/// The stream goes in as batches of 1, 5, 63, 64 and 65 keys, so the
+/// kernel's 64-key lanes run full, partial and split. Every batch is
+/// also run traced: the batch trace must equal the sum of the per-key
+/// traces, field by field. With the `simd` feature on (the default)
+/// the batch side exercises the AVX2 gather lanes wherever the host
+/// supports them; built with `--no-default-features` the same test pins
+/// the scalar fallback — CI runs both, so a divergence in either path
+/// fails the suite.
 #[test]
 fn batch_lanes_agree_with_scalar_across_matrix() {
+    use chisel::core::LookupTrace;
     use chisel::workloads::keystream::{flow_pool, uniform_stream, zipf_stream};
     let quick = std::env::var_os("CHISEL_BENCH_QUICK").is_some();
-    let (nkeys, depths): (usize, &[usize]) = if quick {
-        (2_000, &[16])
+    let (nkeys, batch_lens): (usize, &[usize]) = if quick {
+        (2_000, &[65])
     } else {
-        (8_000, &[1, 4, 16, 64])
+        (8_000, &[1, 5, 63, 64, 65])
     };
     for family in [AddressFamily::V4, AddressFamily::V6] {
         let (table, base_config) = match family {
@@ -181,15 +186,28 @@ fn batch_lanes_agree_with_scalar_across_matrix() {
                     ("uniform", uniform_stream(&pool, nkeys, 65)),
                     ("zipf", zipf_stream(&pool, 1.1, nkeys, 66)),
                 ] {
-                    let scalar: Vec<_> = stream.iter().map(|&k| engine.lookup(k)).collect();
-                    for &lanes in depths {
+                    let mut scalar_trace = LookupTrace::default();
+                    let scalar: Vec<_> = stream
+                        .iter()
+                        .map(|&k| engine.lookup_traced(k, &mut scalar_trace))
+                        .collect();
+                    for &len in batch_lens {
+                        let at =
+                            format!("{family:?} blocked={blocked} pass={pass} {name} len={len}");
                         let mut batched = vec![None; stream.len()];
-                        engine.lookup_batch_lanes(&stream, &mut batched, lanes);
-                        assert_eq!(
-                            batched, scalar,
-                            "{family:?} blocked={blocked} pass={pass} \
-                             {name} lanes={lanes} diverged from scalar"
-                        );
+                        let mut traced = vec![None; stream.len()];
+                        let mut trace = LookupTrace::default();
+                        for ((keys, out), traced_out) in stream
+                            .chunks(len)
+                            .zip(batched.chunks_mut(len))
+                            .zip(traced.chunks_mut(len))
+                        {
+                            engine.lookup_batch(keys, out);
+                            engine.lookup_batch_traced(keys, traced_out, &mut trace);
+                        }
+                        assert_eq!(batched, scalar, "{at}: batch diverged from scalar");
+                        assert_eq!(traced, scalar, "{at}: traced batch diverged from scalar");
+                        assert_eq!(trace, scalar_trace, "{at}: batch trace != per-key traces");
                     }
                 }
             }
@@ -249,5 +267,73 @@ fn engines_agree_after_update_storm() {
             oracle.lookup(key),
             "final sweep at {key}"
         );
+    }
+}
+
+/// Exact `LookupTrace` totals of per-key `lookup_traced` over a seeded
+/// table, update storm and key stream, on both Index Table layouts. A
+/// sparse Index Table (`m_per_key` 1.1) leaves setup-failure keys in the
+/// spillover TCAM, so spill hits are counted too. The figures were
+/// recorded before the traced walk moved onto the batch kernel's stage
+/// methods: any change in what a lookup counts fails here. The traced
+/// batch kernel must answer and count the same, in 64-key lanes and in
+/// odd batches of 37.
+#[test]
+fn lookup_trace_totals_match_golden_counts() {
+    use chisel::core::LookupTrace;
+    let table = synthesize(3_000, &PrefixLenDistribution::bgp_ipv4(), 73);
+    // Both layouts probe the same cells; only the Index Table lines per
+    // probe (1 blocked, k = 3 flat) and the spilled keys differ.
+    let golden = |blocked: bool| LookupTrace {
+        index_reads: 38_136,
+        filter_reads: 38_136,
+        bitvec_reads: 38_136,
+        result_reads: 4_478,
+        spill_hits: if blocked { 2 } else { 21 },
+        cache_hits: 0,
+        cache_misses: 0,
+        degraded_hits: 0,
+        cache_lines_touched: if blocked { 118_884 } else { 195_095 },
+    };
+    for blocked in [true, false] {
+        let config = ChiselConfig::ipv4()
+            .blocked_index(blocked)
+            .m_per_key(1.1)
+            .spill_capacity(256);
+        let mut engine = ChiselLpm::build(&table, config).unwrap();
+        let mut rng = StdRng::seed_from_u64(74);
+        let live: Vec<chisel::Prefix> = table.iter().map(|e| e.prefix).collect();
+        for round in 0..300 {
+            if rng.gen_bool(0.4) {
+                let _ = engine.withdraw(live[rng.gen_range(0..live.len())]);
+            } else {
+                let len = rng.gen_range(8..=32u8);
+                let bits = rng.gen::<u128>() & chisel_prefix::bits::mask(len);
+                let p = chisel::Prefix::new(AddressFamily::V4, bits, len).unwrap();
+                engine.announce(p, chisel::NextHop::new(round)).unwrap();
+            }
+        }
+        let mut routes = chisel::RoutingTable::new_v4();
+        routes.extend(engine.iter_routes());
+        let stream = probe_keys(&mut rng, &routes, 8_000);
+        let mut trace = LookupTrace::default();
+        let scalar: Vec<_> = stream
+            .iter()
+            .map(|&k| engine.lookup_traced(k, &mut trace))
+            .collect();
+        assert_eq!(trace, golden(blocked), "blocked={blocked}");
+        let mut out = vec![None; stream.len()];
+        for len in [stream.len(), 37] {
+            let mut batch_trace = LookupTrace::default();
+            for (keys, out) in stream.chunks(len).zip(out.chunks_mut(len)) {
+                engine.lookup_batch_traced(keys, out, &mut batch_trace);
+            }
+            assert_eq!(out, scalar, "blocked={blocked} batch len={len}");
+            assert_eq!(
+                batch_trace,
+                golden(blocked),
+                "blocked={blocked} batch len={len}"
+            );
+        }
     }
 }

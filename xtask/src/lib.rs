@@ -1,6 +1,6 @@
 //! Workspace source lints behind `cargo xtask analyze`.
 //!
-//! Nine lints, all operating on a comment-and-string-stripped view of
+//! Ten lints, all operating on a comment-and-string-stripped view of
 //! the source ([`strip_source`]) refined by a lexical scope model
 //! ([`SourceModel`]) that knows which lines sit in `#[cfg(test)]` code
 //! and which named function encloses a given line:
@@ -44,6 +44,11 @@
 //!    *and* a check the paper's per-lookup budget does not pay for.
 //!    `// ASSERT-OK:` escapes asserts that guard `unsafe` preconditions
 //!    (those must hold in release builds too).
+//! 10. **`stale-scope`** — every [`HOT_PATHS`] and [`LOCK_FREE_PATHS`]
+//!     entry names a file that exists, and its `Some(fns)` list names
+//!     only functions that file defines outside `#[cfg(test)]`: a
+//!     renamed or deleted function would otherwise drop out of lints 4,
+//!     7, 8 and 9 without a word.
 //!
 //! The analyzer is deliberately lexical (no rustc plumbing): it runs in
 //! milliseconds, works offline, and the stripping state machine handles
@@ -106,9 +111,9 @@ pub const HOT_PATHS: &[(&str, Option<&[&str]>)] = &[
     (
         "crates/chisel-core/src/subcell.rs",
         Some(&[
-            "lookup",
             "lookup_at",
             "prepare",
+            "probe",
             "probe_slot",
             "probe_slots",
             "prefetch_index",
@@ -122,8 +127,10 @@ pub const HOT_PATHS: &[(&str, Option<&[&str]>)] = &[
         Some(&[
             "lookup",
             "lookup_traced",
+            "walk",
             "lookup_batch",
-            "lookup_batch_lanes",
+            "lookup_batch_traced",
+            "lookup_lanes",
         ]),
     ),
     (
@@ -170,7 +177,6 @@ pub const LOCK_FREE_PATHS: &[(&str, Option<&[&str]>)] = &[
             "lookup",
             "lookup_batch",
             "lookup_batch_pinned",
-            "lookup_batch_pinned_lanes",
             "lookup_batch_traced",
         ]),
     ),
@@ -203,6 +209,8 @@ pub enum Lint {
     LockDiscipline,
     /// Release-mode `assert!` family inside a lookup hot-path scope.
     AssertDiscipline,
+    /// A lint-scope table entry naming a missing file or function.
+    StaleScope,
 }
 
 impl Lint {
@@ -218,6 +226,7 @@ impl Lint {
             Lint::HotPathAlloc => "hot-path-alloc",
             Lint::LockDiscipline => "lock-discipline",
             Lint::AssertDiscipline => "assert-discipline",
+            Lint::StaleScope => "stale-scope",
         }
     }
 
@@ -236,6 +245,7 @@ impl Lint {
             Lint::HotPathAlloc => 16,
             Lint::LockDiscipline => 17,
             Lint::AssertDiscipline => 18,
+            Lint::StaleScope => 19,
         }
     }
 
@@ -250,6 +260,7 @@ impl Lint {
         Lint::HotPathAlloc,
         Lint::LockDiscipline,
         Lint::AssertDiscipline,
+        Lint::StaleScope,
     ];
 }
 
@@ -782,11 +793,49 @@ fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()>
     Ok(())
 }
 
+/// Lint 10 over one lint-scope table, named `table` in the messages.
+pub fn stale_scopes(
+    root: &Path,
+    table: &str,
+    entries: &[(&str, Option<&[&str]>)],
+) -> std::io::Result<Vec<Violation>> {
+    let mut violations = Vec::new();
+    for &(rel, scope) in entries {
+        let messages = match std::fs::read_to_string(root.join(rel)) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                vec![format!("{table} names a file that does not exist")]
+            }
+            Err(e) => return Err(e),
+            Ok(src) => {
+                let model = SourceModel::build(&strip_source(&src));
+                let live = |name: &str| {
+                    let kind = ScopeKind::Function(name.to_string());
+                    model.scopes().iter().any(|s| !s.cfg_test && s.kind == kind)
+                };
+                scope
+                    .unwrap_or_default()
+                    .iter()
+                    .filter(|name| !live(name))
+                    .map(|name| format!("{table} names `fn {name}`, not defined outside tests"))
+                    .collect()
+            }
+        };
+        violations.extend(messages.into_iter().map(|message| Violation {
+            file: PathBuf::from(rel),
+            line: 1,
+            lint: Lint::StaleScope,
+            message,
+        }));
+    }
+    Ok(violations)
+}
+
 /// Runs every lint over the workspace rooted at `root`.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     collect_rust_files(root, &mut files)?;
-    let mut violations = Vec::new();
+    let mut violations = stale_scopes(root, "HOT_PATHS", HOT_PATHS)?;
+    violations.extend(stale_scopes(root, "LOCK_FREE_PATHS", LOCK_FREE_PATHS)?);
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -972,7 +1021,7 @@ mod tests {
     #[test]
     fn hot_path_unwrap_is_flagged_only_in_scoped_functions() {
         let src = "impl X {\n    pub fn lookup(&self) -> u32 {\n        self.v.get(0).unwrap()\n    }\n    pub fn build(&self) -> u32 {\n        self.v.get(0).unwrap()\n    }\n}\n";
-        let v = analyze_file("crates/chisel-core/src/subcell.rs", src);
+        let v = analyze_file("crates/chisel-core/src/engine.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].lint, Lint::HotPathPanic);
         assert_eq!(v[0].line, 3);
@@ -1052,7 +1101,7 @@ mod tests {
     #[test]
     fn hot_path_allocation_is_flagged_in_scope() {
         let src = "impl X {\n    pub fn lookup(&self) -> Vec<u32> {\n        let v = Vec::new();\n        self.it().collect()\n    }\n    pub fn build(&self) -> Vec<u32> {\n        (0..4).collect()\n    }\n}\n";
-        let v = analyze_file("crates/chisel-core/src/subcell.rs", src);
+        let v = analyze_file("crates/chisel-core/src/engine.rs", src);
         let allocs: Vec<_> = v.iter().filter(|v| v.lint == Lint::HotPathAlloc).collect();
         assert_eq!(allocs.len(), 2, "{v:?}");
         assert_eq!(allocs[0].line, 3);

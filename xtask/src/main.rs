@@ -1,7 +1,7 @@
 //! `cargo xtask` — workspace automation:
 //!
 //! - `analyze [--json]` — the static-analysis gate described in the
-//!   library crate. Exit codes: 0 clean, 2 I/O error, 10–18 the stable
+//!   library crate. Exit codes: 0 clean, 2 I/O error, 10–19 the stable
 //!   per-lint codes of [`xtask::Lint::exit_code`] (smallest wins when
 //!   lints mix). `--json` writes the machine-readable report to stdout
 //!   for CI annotation.

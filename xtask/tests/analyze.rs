@@ -6,7 +6,7 @@
 //!   the same check `cargo xtask analyze` performs in CI).
 
 use std::path::Path;
-use xtask::{analyze_file, analyze_workspace, exit_code_for, json_report, Lint};
+use xtask::{analyze_file, analyze_workspace, exit_code_for, json_report, stale_scopes, Lint};
 
 fn fixture(name: &str) -> String {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -17,7 +17,7 @@ fn fixture(name: &str) -> String {
 fn seeded_violation_fixture_is_flagged() {
     let src = fixture("seeded_violation.rs");
     // Analyzed as if it lived at a non-allowlisted hot-path location.
-    let violations = analyze_file("crates/chisel-core/src/subcell.rs", &src);
+    let violations = analyze_file("crates/chisel-core/src/engine.rs", &src);
     assert!(
         violations.iter().any(|v| v.lint == Lint::SafetyComment),
         "undocumented unsafe not flagged: {violations:?}"
@@ -115,6 +115,35 @@ fn clean_fixture_passes() {
     let src = fixture("clean.rs");
     let violations = analyze_file("crates/chisel-core/src/snapshot.rs", &src);
     assert!(violations.is_empty(), "{violations:?}");
+}
+
+#[test]
+fn stale_lint_scopes_are_flagged() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let entries: &[(&str, Option<&[&str]>)] = &[
+        (
+            "tests/fixtures/scoped.rs",
+            Some(&["live", "test_only", "renamed_away"]),
+        ),
+        ("tests/fixtures/scoped.rs", None),
+        ("tests/fixtures/deleted.rs", None),
+    ];
+    let violations = stale_scopes(root, "HOT_PATHS", entries).expect("fixtures readable");
+    assert!(
+        violations.iter().all(|v| v.lint == Lint::StaleScope),
+        "{violations:?}"
+    );
+    let messages: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+    assert_eq!(messages.len(), 3, "{messages:#?}");
+    // A function defined only under #[cfg(test)] is as stale as one
+    // renamed away; the live function and the whole-file entry pass.
+    assert!(messages[0].contains("`fn test_only`"), "{messages:#?}");
+    assert!(messages[1].contains("`fn renamed_away`"), "{messages:#?}");
+    assert!(
+        messages[2].starts_with("tests/fixtures/deleted.rs:1: [stale-scope]"),
+        "{messages:#?}"
+    );
+    assert_eq!(exit_code_for(&violations), 19);
 }
 
 #[test]
