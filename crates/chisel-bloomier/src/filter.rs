@@ -12,7 +12,7 @@ const STACK_K: usize = 8;
 /// The one shared scalar Index Table probe: XOR of the `w`-bit entries at
 /// the key's probe locations under the arena's layout (Equation 2).
 /// [`BloomierFilter::lookup_digest`], the hardware-image replay in
-/// `chisel-core`, and the SIMD differential tests all bottom out here, so
+/// `chisel-core` and the batch lookup all bottom out here, so
 /// layout dispatch cannot drift between the live engine and a loaded
 /// image.
 #[inline]
@@ -306,41 +306,6 @@ impl BloomierFilter {
                 let epl = self.data.line_entries();
                 self.family
                     .blocked_neighborhood_digest(d, self.m / epl, epl)
-            }
-        }
-    }
-
-    /// Writes the arena *bit offsets* of the key's `k` probes into `out`
-    /// — the gather targets the SIMD batch kernel
-    /// ([`crate::simd::xor_lanes`]) consumes. Allocation-free on purpose:
-    /// the batch lookup path calls this once per key per group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != k`.
-    #[inline]
-    pub fn probe_bits_into(&self, d: KeyDigest, out: &mut [usize]) {
-        // ASSERT-OK: documented `# Panics` contract, and the length gate
-        // for the SIMD gather that consumes `out`; must hold in release.
-        assert_eq!(
-            out.len(),
-            self.family.k(),
-            "output slice must have length k"
-        );
-        let w = self.data.value_bits() as usize;
-        match self.data.layout() {
-            IndexLayout::Flat => {
-                for (i, b) in out.iter_mut().enumerate() {
-                    *b = self.family.hash_one_digest(i, d, self.m) * w;
-                }
-            }
-            IndexLayout::Blocked => {
-                let epl = self.data.line_entries();
-                let base = self.family.block_digest(d, self.m / epl) * crate::packed::BITS_PER_LINE;
-                self.family.inblock_slots_digest(d, epl, out);
-                for b in out.iter_mut() {
-                    *b = base + *b * w;
-                }
             }
         }
     }
@@ -808,37 +773,6 @@ mod tests {
             );
             assert_eq!(f.m(), want.div_ceil(epl) * epl);
             assert!(f.m() >= want);
-        }
-    }
-
-    #[test]
-    fn probe_bits_agree_with_probe_locations() {
-        let keys = keyset(300, 4);
-        for layout in [IndexLayout::Flat, IndexLayout::Blocked] {
-            let built = BloomierFilter::build_packed_with_family_layout(
-                HashFamily::new(3, 5),
-                900,
-                14,
-                layout,
-                &keys,
-            )
-            .unwrap();
-            let f = &built.filter;
-            let (w, epl) = (14usize, entries_per_line(14));
-            let mut bits = [0usize; 3];
-            for key in (0..3_000u128).step_by(11) {
-                let d = f.digest(key);
-                f.probe_bits_into(d, &mut bits);
-                for (bit, loc) in bits.iter().zip(f.probe_locations(d)) {
-                    let want = match layout {
-                        IndexLayout::Flat => loc * w,
-                        IndexLayout::Blocked => {
-                            (loc / epl) * crate::packed::BITS_PER_LINE + (loc % epl) * w
-                        }
-                    };
-                    assert_eq!(*bit, want, "layout {layout:?} key {key}");
-                }
-            }
         }
     }
 

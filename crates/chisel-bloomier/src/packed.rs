@@ -108,8 +108,7 @@ impl PackedWords {
             Blocked => len.div_ceil(epl) * WORDS_PER_LINE,
         };
         // One pad word keeps the two-word read window in bounds for the
-        // last entry (under `Blocked` this rounds to a whole pad line,
-        // which also keeps SIMD gathers of `flat[wi + 1]` in bounds).
+        // last entry (under `Blocked` this rounds to a whole pad line).
         let lines = vec![CacheLine::default(); (words + 1).div_ceil(WORDS_PER_LINE)];
         PackedWords {
             lines,
@@ -241,11 +240,11 @@ impl PackedWords {
         &self.flat()[..self.words]
     }
 
-    /// The whole backing arena as words, pad included — in-crate only:
-    /// the SIMD kernels gather `flat[wi]`/`flat[wi + 1]` pairs and rely
-    /// on the pad line the constructors provision.
+    /// The whole backing arena as words, pad included: the readers take
+    /// `flat[wi]`/`flat[wi + 1]` pairs and rely on the pad word the
+    /// constructors provision.
     #[inline]
-    pub(crate) fn flat(&self) -> &[u64] {
+    fn flat(&self) -> &[u64] {
         // SAFETY: `CacheLine` is `repr(C)` over `[u64; 8]`, so a `Vec` of
         // lines is one contiguous, properly-aligned run of
         // `lines.len() * 8` initialized `u64`s.

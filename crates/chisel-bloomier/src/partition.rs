@@ -3,7 +3,6 @@ use std::sync::Arc;
 use chisel_hash::{HashFamily, KeyDigest};
 
 use crate::packed::entries_per_line;
-use crate::simd::{self, LANE_WIDTH};
 use crate::{BloomierError, BloomierFilter, Built, IndexLayout};
 
 /// One built partition: the filter, the keys it spilled, and the seed salt
@@ -366,78 +365,6 @@ impl PartitionedBloomier {
     #[inline]
     pub fn lookup_digest(&self, d: KeyDigest) -> u32 {
         self.parts[self.partition_of_digest(d)].lookup_digest(d)
-    }
-
-    /// Batch lookup over a lane group of already-computed digests —
-    /// answer-identical to calling [`PartitionedBloomier::lookup_digest`]
-    /// per lane (a property the differential suite pins), but when the
-    /// vectorized kernel is active the lanes are bucketed by partition
-    /// (a gather must stay within one arena) and resolved
-    /// [`LANE_WIDTH`] keys at a time by [`crate::simd::xor_lanes`].
-    ///
-    /// Falls back to the scalar per-lane loop when SIMD is unavailable,
-    /// the batch is tiny, or the geometry is outside the grouped path's
-    /// stack budget (`> 64` lanes or partitions, `k > 8`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `digests.len() != out.len()`.
-    pub fn lookup_digest_batch(&self, digests: &[KeyDigest], out: &mut [u32]) {
-        // ASSERT-OK: documented `# Panics` lane-count contract, checked
-        // once per batch, amortized over every lane.
-        assert_eq!(digests.len(), out.len(), "lane count mismatch");
-        const MAX_GROUP: usize = 64;
-        const MAX_K: usize = 8;
-        let (n, d, k) = (digests.len(), self.parts.len(), self.k);
-        if !simd::simd_active()
-            || !(LANE_WIDTH..=MAX_GROUP).contains(&n)
-            || d > MAX_GROUP
-            || k > MAX_K
-        {
-            for (o, &dg) in out.iter_mut().zip(digests) {
-                *o = self.lookup_digest(dg);
-            }
-            return;
-        }
-        let mut part_of = [0u8; MAX_GROUP];
-        for (p, &dg) in part_of.iter_mut().zip(digests) {
-            *p = self.partition_of_digest(dg) as u8;
-        }
-        // `rows[j][l]` = arena bit offset of probe j of group lane l — the
-        // transpose `xor_lanes` gathers along.
-        let mut rows = [[0usize; LANE_WIDTH]; MAX_K];
-        let mut bits = [0usize; MAX_K];
-        let mut vals = [0u64; LANE_WIDTH];
-        for p in 0..d {
-            let filter = &*self.parts[p];
-            let mut group = [0usize; LANE_WIDTH];
-            let mut gn = 0;
-            for (l, &pl) in part_of.iter().enumerate().take(n) {
-                if pl as usize != p {
-                    continue;
-                }
-                group[gn] = l;
-                gn += 1;
-                if gn < LANE_WIDTH {
-                    continue;
-                }
-                gn = 0;
-                for (gl, &lane) in group.iter().enumerate() {
-                    filter.probe_bits_into(digests[lane], &mut bits[..k]);
-                    for (row, &bit) in rows[..k].iter_mut().zip(&bits[..k]) {
-                        row[gl] = bit;
-                    }
-                }
-                simd::xor_lanes(filter.packed(), &rows[..k], &mut vals);
-                for (gl, &lane) in group.iter().enumerate() {
-                    out[lane] = vals[gl] as u32;
-                }
-            }
-            // Partial group remainder: scalar, same shared probe math.
-            for &lane in &group[..gn] {
-                out[lane] = filter.lookup_digest(digests[lane]);
-            }
-        }
     }
 
     /// Prefetches the key's hash neighborhood in its partition (see
@@ -847,41 +774,6 @@ mod tests {
         f.rebuild_partition(2, &p2).unwrap();
         for &(k, v) in &p2 {
             assert_eq!(f.lookup(k), v);
-        }
-    }
-
-    #[test]
-    fn lookup_digest_batch_matches_scalar() {
-        let keys = keyset(3000, 17);
-        for layout in [IndexLayout::Flat, IndexLayout::Blocked] {
-            let (f, _) = PartitionedBloomier::build_with_threads_layout(
-                3, 9_000, 8, 14, layout, 3, &keys, 1, 4,
-            )
-            .unwrap();
-            // Member and non-member digests, across batch sizes that hit
-            // the scalar-fallback (< LANE_WIDTH), mixed-remainder, and
-            // full-group shapes of the grouped path.
-            let probes: Vec<u128> = (0..80u128)
-                .map(|i| {
-                    if i % 3 == 0 {
-                        keys[i as usize * 7].0
-                    } else {
-                        i * 0xDEAD_BEEF
-                    }
-                })
-                .collect();
-            for n in [1usize, 3, 4, 5, 16, 63, 64] {
-                let digests: Vec<_> = probes[..n].iter().map(|&k| f.digest(k)).collect();
-                let mut batch = vec![0u32; n];
-                f.lookup_digest_batch(&digests, &mut batch);
-                for (i, &dg) in digests.iter().enumerate() {
-                    assert_eq!(
-                        batch[i],
-                        f.lookup_digest(dg),
-                        "layout {layout:?} n={n} lane {i}"
-                    );
-                }
-            }
         }
     }
 

@@ -21,10 +21,10 @@ use crate::subcell::{
 use crate::update::{BatchStats, RecentWithdrawals, UpdateKind, UpdateStats};
 use crate::{ChiselConfig, ChiselError};
 
-/// Keys in flight per batch-kernel lane: with d-partitioned cells a lane
-/// needs several keys *per partition* to fill the 4-wide gather groups of
-/// the vectorized Index Table probe.
-pub(crate) const LANES: usize = 64;
+/// Keys in flight per batch-kernel lane: each stage runs over all of
+/// them before the next, so one key's dependent Index → Filter → Result
+/// reads overlap with its neighbours' prefetches.
+const LANES: usize = 64;
 
 /// The Chisel longest-prefix-matching engine.
 ///
@@ -322,8 +322,7 @@ impl ChiselLpm {
                 }
                 // Stage 1: collapse + hash each still-live lane key once
                 // for this cell, then kick off the Index Table (Bloomier)
-                // probes. Live lanes are compacted to the front so the
-                // batched slot resolver sees a dense digest array; the
+                // probes. Live lanes are compacted to the front; the
                 // prepared digest is reused by every later stage.
                 let mut prep = [PreparedKey::default(); LANES];
                 let mut lane_of = [0usize; LANES];
@@ -337,11 +336,15 @@ impl ChiselLpm {
                         live += 1;
                     }
                 }
-                // Stage 2: resolve every live slot in one call (AVX2
-                // gather lanes when available, scalar otherwise); prefetch
-                // the Filter/Bit-vector rows they name.
+                // Stage 2: resolve each live slot (spillover TCAM, then
+                // the Index Table XOR), then prefetch the Filter/Bit-vector
+                // rows they name. Two loops, not one: a prefetch waits on
+                // its slot's load, and interleaved it held back the next
+                // lanes' resolves (~12% slower at 1M routes).
                 let mut slots = [0u32; LANES];
-                cell.probe_slots(&prep[..live], &mut slots[..live]);
+                for (slot, p) in slots.iter_mut().zip(&prep[..live]) {
+                    *slot = cell.probe_slot(p);
+                }
                 for &slot in &slots[..live] {
                     cell.prefetch_row(slot);
                 }

@@ -18,7 +18,6 @@ use chisel_prefix::NextHop;
 
 use crate::bitvector::LeafVector;
 use crate::cow::CowTable;
-use crate::engine::LANES;
 use crate::faultpoint;
 use crate::result_table::{Block, ResultTable};
 use crate::shadow::GroupShadow;
@@ -506,29 +505,6 @@ impl SubCell {
             s
         } else {
             self.index.lookup_digest(p.digest)
-        }
-    }
-
-    /// Lane-granular stage 2 of the batch pipeline: resolves candidate
-    /// slots for a whole group of prepared keys at once. The Index Table
-    /// probes go through the partition-bucketed SIMD batch kernel
-    /// ([`PartitionedBloomier::lookup_digest_batch`]); spillover-TCAM hits
-    /// then override their lanes, preserving the TCAM-before-Index search
-    /// order of [`SubCell::probe_slot`] exactly. At most one lane of keys.
-    pub fn probe_slots(&self, prepared: &[PreparedKey], slots: &mut [u32]) {
-        debug_assert_eq!(prepared.len(), slots.len());
-        let mut digests = [KeyDigest::default(); LANES];
-        for (d, p) in digests.iter_mut().zip(prepared) {
-            *d = p.digest;
-        }
-        self.index
-            .lookup_digest_batch(&digests[..prepared.len()], slots);
-        if !self.spill.is_empty() {
-            for (s, p) in slots.iter_mut().zip(prepared) {
-                if let Some(sp) = self.spill_slot(p.collapsed) {
-                    *s = sp;
-                }
-            }
         }
     }
 

@@ -123,28 +123,22 @@ fn chisel_agrees_across_seeds() {
     }
 }
 
-/// The full batch matrix for the vectorized cold path: uniform and
-/// zipf-skewed streams, both address families, before and after an
-/// update storm, compared lane-for-lane against the scalar per-key
-/// path on both the blocked (default) and flat Index Table layouts.
+/// The full batch matrix for the cold path: uniform and zipf-skewed
+/// streams, both address families, before and after an update storm,
+/// compared lane-for-lane against the scalar per-key path on both the
+/// blocked (default) and flat Index Table layouts. Each family also runs
+/// a sparse Index Table (`m_per_key` 1.1, one setup attempt per rebuild)
+/// whose setup failures park keys in the spillover TCAM, so lookups hit
+/// the spill-before-Index order of `probe_slot`. An `OracleLpm` mirrors
+/// every storm event the engine accepted and checks the scalar answers.
 /// The stream goes in as batches of 1, 5, 63, 64 and 65 keys, so the
 /// kernel's 64-key lanes run full, partial and split. Every batch is
 /// also run traced: the batch trace must equal the sum of the per-key
-/// traces, field by field. With the `simd` feature on (the default)
-/// the batch side exercises the AVX2 gather lanes wherever the host
-/// supports them; built with `--no-default-features` the same test pins
-/// the scalar fallback — CI runs both, so a divergence in either path
-/// fails the suite.
+/// traces, field by field.
 #[test]
 fn batch_lanes_agree_with_scalar_across_matrix() {
-    use chisel::core::LookupTrace;
+    use chisel::core::{ChiselError, LookupTrace};
     use chisel::workloads::keystream::{flow_pool, uniform_stream, zipf_stream};
-    let quick = std::env::var_os("CHISEL_BENCH_QUICK").is_some();
-    let (nkeys, batch_lens): (usize, &[usize]) = if quick {
-        (2_000, &[65])
-    } else {
-        (8_000, &[1, 5, 63, 64, 65])
-    };
     for family in [AddressFamily::V4, AddressFamily::V6] {
         let (table, base_config) = match family {
             AddressFamily::V4 => (
@@ -159,9 +153,15 @@ fn batch_lanes_agree_with_scalar_across_matrix() {
                 )
             }
         };
-        for blocked in [true, false] {
-            let mut engine =
-                ChiselLpm::build(&table, base_config.clone().blocked_index(blocked)).unwrap();
+        for (blocked, sparse) in [(true, false), (false, false), (true, true), (false, true)] {
+            let mut config = base_config.clone().blocked_index(blocked);
+            if sparse {
+                config = config.m_per_key(1.1).spill_capacity(256).resetup_retries(1);
+            }
+            let mut engine = ChiselLpm::build(&table, config).unwrap();
+            let mut oracle = OracleLpm::from_table(&table);
+            let cfg = format!("{family:?} blocked={blocked} sparse={sparse}");
+            let mut spill_hits = 0;
             // Two passes: the freshly built engine, then the same engine
             // after a random announce/withdraw storm (spill entries,
             // dirty slots, rebuilt partitions all in play).
@@ -172,28 +172,40 @@ fn batch_lanes_agree_with_scalar_across_matrix() {
                     for round in 0..500 {
                         if rng.gen_bool(0.4) && !live.is_empty() {
                             let p = live[rng.gen_range(0..live.len())];
-                            let _ = engine.withdraw(p);
+                            engine.withdraw(p).unwrap();
+                            oracle.remove(&p);
                         } else {
                             let len = rng.gen_range(1..=family.width());
                             let bits = rng.gen::<u128>() & chisel_prefix::bits::mask(len);
                             let p = chisel::Prefix::new(family, bits, len).unwrap();
-                            engine.announce(p, chisel::NextHop::new(round)).unwrap();
+                            let hop = chisel::NextHop::new(round);
+                            match engine.announce(p, hop) {
+                                Ok(_) => oracle.insert(p, hop),
+                                Err(ChiselError::SpilloverOverflow { .. }) if sparse => {}
+                                Err(e) => panic!("{cfg}: announce {p}: {e}"),
+                            }
                         }
+                    }
+                    if sparse {
+                        assert!(engine.spill_len() > 0, "{cfg}: nothing spilled");
                     }
                 }
                 let pool = flow_pool(&table, 1 << 12, 64 + pass as u64);
                 for (name, stream) in [
-                    ("uniform", uniform_stream(&pool, nkeys, 65)),
-                    ("zipf", zipf_stream(&pool, 1.1, nkeys, 66)),
+                    ("uniform", uniform_stream(&pool, 8_000, 65)),
+                    ("zipf", zipf_stream(&pool, 1.1, 8_000, 66)),
                 ] {
                     let mut scalar_trace = LookupTrace::default();
                     let scalar: Vec<_> = stream
                         .iter()
                         .map(|&k| engine.lookup_traced(k, &mut scalar_trace))
                         .collect();
-                    for &len in batch_lens {
-                        let at =
-                            format!("{family:?} blocked={blocked} pass={pass} {name} len={len}");
+                    spill_hits += scalar_trace.spill_hits;
+                    for (&k, &hop) in stream.iter().zip(&scalar) {
+                        assert_eq!(hop, oracle.lookup(k), "{cfg} pass={pass} {name} at {k}");
+                    }
+                    for len in [1, 5, 63, 64, 65] {
+                        let at = format!("{cfg} pass={pass} {name} len={len}");
                         let mut batched = vec![None; stream.len()];
                         let mut traced = vec![None; stream.len()];
                         let mut trace = LookupTrace::default();
@@ -210,6 +222,9 @@ fn batch_lanes_agree_with_scalar_across_matrix() {
                         assert_eq!(trace, scalar_trace, "{at}: batch trace != per-key traces");
                     }
                 }
+            }
+            if sparse {
+                assert!(spill_hits > 0, "{cfg}: no lookup hit the spill");
             }
         }
     }

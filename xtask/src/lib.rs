@@ -48,7 +48,9 @@
 //!     entry names a file that exists, and its `Some(fns)` list names
 //!     only functions that file defines outside `#[cfg(test)]`: a
 //!     renamed or deleted function would otherwise drop out of lints 4,
-//!     7, 8 and 9 without a word.
+//!     7, 8 and 9 without a word. Every [`NO_PANIC_PATHS`] entry names a
+//!     file that exists, and every [`UNSAFE_ALLOWLIST`] entry a file that
+//!     still uses `unsafe` outside `#[cfg(test)]`.
 //!
 //! The analyzer is deliberately lexical (no rustc plumbing): it runs in
 //! milliseconds, works offline, and the stripping state machine handles
@@ -79,15 +81,12 @@ use std::path::{Path, PathBuf};
 /// - `packed.rs`: bit-packed arena flat views for hashing.
 /// - `chisel-bloomier/src/lib.rs`: the `_mm_prefetch` / `prfm` prefetch
 ///   intrinsics used by the pipelined batch lookup.
-/// - `chisel-bloomier/src/simd.rs`: the AVX2 gather kernel behind the
-///   `simd` feature (runtime-detected; bit-identical scalar fallback).
 /// - `chisel-dataplane/src/signal.rs`: the `signal(2)` FFI registration
 ///   behind the graceful SIGINT/SIGTERM drain (atomic-store handler).
 pub const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/chisel-core/src/snapshot.rs",
     "crates/chisel-bloomier/src/packed.rs",
     "crates/chisel-bloomier/src/lib.rs",
-    "crates/chisel-bloomier/src/simd.rs",
     "crates/chisel-dataplane/src/signal.rs",
 ];
 
@@ -104,7 +103,6 @@ const UNSAFE_CRATE_ROOTS: &[&str] = &[
 /// exempt.
 pub const HOT_PATHS: &[(&str, Option<&[&str]>)] = &[
     ("crates/chisel-bloomier/src/packed.rs", None),
-    ("crates/chisel-bloomier/src/simd.rs", None),
     ("crates/chisel-core/src/bitvector.rs", None),
     ("crates/chisel-core/src/flowcache.rs", None),
     ("crates/chisel-hash/src/digest.rs", None),
@@ -115,7 +113,6 @@ pub const HOT_PATHS: &[(&str, Option<&[&str]>)] = &[
             "prepare",
             "probe",
             "probe_slot",
-            "probe_slots",
             "prefetch_index",
             "prefetch_row",
             "slot_of",
@@ -135,11 +132,11 @@ pub const HOT_PATHS: &[(&str, Option<&[&str]>)] = &[
     ),
     (
         "crates/chisel-bloomier/src/partition.rs",
-        Some(&["lookup_digest", "lookup_digest_batch"]),
+        Some(&["lookup_digest"]),
     ),
     (
         "crates/chisel-bloomier/src/filter.rs",
-        Some(&["index_xor_lookup", "lookup_digest", "probe_bits_into"]),
+        Some(&["index_xor_lookup", "lookup_digest"]),
     ),
     ("crates/chisel-core/src/result_table.rs", Some(&["read"])),
 ];
@@ -801,12 +798,9 @@ pub fn stale_scopes(
 ) -> std::io::Result<Vec<Violation>> {
     let mut violations = Vec::new();
     for &(rel, scope) in entries {
-        let messages = match std::fs::read_to_string(root.join(rel)) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                vec![format!("{table} names a file that does not exist")]
-            }
-            Err(e) => return Err(e),
-            Ok(src) => {
+        let messages = match read_entry(root, rel)? {
+            None => vec![format!("{table} names a file that does not exist")],
+            Some(src) => {
                 let model = SourceModel::build(&strip_source(&src));
                 let live = |name: &str| {
                     let kind = ScopeKind::Function(name.to_string());
@@ -820,14 +814,58 @@ pub fn stale_scopes(
                     .collect()
             }
         };
-        violations.extend(messages.into_iter().map(|message| Violation {
-            file: PathBuf::from(rel),
-            line: 1,
-            lint: Lint::StaleScope,
-            message,
-        }));
+        violations.extend(messages.into_iter().map(|m| stale(rel, m)));
     }
     Ok(violations)
+}
+
+/// Lint 10 over one plain file table, named `table` in the messages:
+/// every entry names a file that exists and, with `token` given, uses
+/// that word outside comments, strings and `#[cfg(test)]` code. An
+/// [`UNSAFE_ALLOWLIST`] entry for a file with no `unsafe` grants nothing.
+pub fn stale_paths(
+    root: &Path,
+    table: &str,
+    entries: &[&str],
+    token: Option<&str>,
+) -> std::io::Result<Vec<Violation>> {
+    let mut violations = Vec::new();
+    for &rel in entries {
+        let message = match (read_entry(root, rel)?, token) {
+            (None, _) => format!("{table} names a file that does not exist"),
+            (Some(src), Some(token)) => {
+                let stripped = strip_source(&src);
+                let model = SourceModel::build(&stripped);
+                let used = word_occurrences(&stripped, token)
+                    .into_iter()
+                    .any(|at| !model.in_cfg_test(line_of(&stripped, at)));
+                if used {
+                    continue;
+                }
+                format!("{table} names a file with no `{token}` outside tests")
+            }
+            (Some(_), None) => continue,
+        };
+        violations.push(stale(rel, message));
+    }
+    Ok(violations)
+}
+
+/// The source of a lint-table entry, or `None` when the file is gone.
+fn read_entry(root: &Path, rel: &str) -> std::io::Result<Option<String>> {
+    match std::fs::read_to_string(root.join(rel)) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        other => other.map(Some),
+    }
+}
+
+fn stale(rel: &str, message: String) -> Violation {
+    Violation {
+        file: PathBuf::from(rel),
+        line: 1,
+        lint: Lint::StaleScope,
+        message,
+    }
 }
 
 /// Runs every lint over the workspace rooted at `root`.
@@ -836,6 +874,13 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     collect_rust_files(root, &mut files)?;
     let mut violations = stale_scopes(root, "HOT_PATHS", HOT_PATHS)?;
     violations.extend(stale_scopes(root, "LOCK_FREE_PATHS", LOCK_FREE_PATHS)?);
+    violations.extend(stale_paths(root, "NO_PANIC_PATHS", NO_PANIC_PATHS, None)?);
+    violations.extend(stale_paths(
+        root,
+        "UNSAFE_ALLOWLIST",
+        UNSAFE_ALLOWLIST,
+        Some("unsafe"),
+    )?);
     for path in files {
         let rel = path
             .strip_prefix(root)

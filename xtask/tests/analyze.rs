@@ -6,7 +6,9 @@
 //!   the same check `cargo xtask analyze` performs in CI).
 
 use std::path::Path;
-use xtask::{analyze_file, analyze_workspace, exit_code_for, json_report, stale_scopes, Lint};
+use xtask::{
+    analyze_file, analyze_workspace, exit_code_for, json_report, stale_paths, stale_scopes, Lint,
+};
 
 fn fixture(name: &str) -> String {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -144,6 +146,38 @@ fn stale_lint_scopes_are_flagged() {
         "{messages:#?}"
     );
     assert_eq!(exit_code_for(&violations), 19);
+}
+
+#[test]
+fn stale_file_tables_are_flagged() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let entries = [
+        "tests/fixtures/seeded_violation.rs",
+        "tests/fixtures/unsafe_in_tests.rs",
+        "tests/fixtures/deleted.rs",
+    ];
+    let unsafe_list =
+        stale_paths(root, "UNSAFE_ALLOWLIST", &entries, Some("unsafe")).expect("fixtures readable");
+    let messages: Vec<String> = unsafe_list.iter().map(|v| v.to_string()).collect();
+    assert_eq!(messages.len(), 2, "{messages:#?}");
+    // `unsafe` in a comment, a string or a test module grants nothing;
+    // the live `unsafe` block of the first fixture passes.
+    assert!(
+        messages[0].starts_with("tests/fixtures/unsafe_in_tests.rs:1: [stale-scope]")
+            && messages[0].contains("no `unsafe` outside tests"),
+        "{messages:#?}"
+    );
+    assert!(
+        messages[1].starts_with("tests/fixtures/deleted.rs:1: [stale-scope]"),
+        "{messages:#?}"
+    );
+    assert_eq!(exit_code_for(&unsafe_list), 19);
+    // A plain file table only needs the file to exist.
+    let no_panic = stale_paths(root, "NO_PANIC_PATHS", &entries, None).expect("fixtures readable");
+    assert_eq!(no_panic.len(), 1, "{no_panic:?}");
+    assert!(no_panic[0]
+        .to_string()
+        .contains("NO_PANIC_PATHS names a file that does not exist"));
 }
 
 #[test]
